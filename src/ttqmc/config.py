@@ -5,9 +5,12 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, fields
 
-from .errors import ConfigError
+import numpy as np
+
+from .errors import ConfigError, LatticeError
 from .qmc_driver import Schedule
-from .spin_model import build_lattice
+from .sketching import validate_target_ranks
+from .spin_model import PropagatorSet, build_lattice
 
 
 @dataclass(frozen=True)
@@ -72,12 +75,42 @@ class RunConfig:
             raise ConfigError("target_middle_rank", "must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed", "must be >= 0")
+        self._validate_propagators()
+        d = self.lattice().d
+        if self.reanchor:
+            if d < 2:
+                raise ConfigError("lattice_dims", f"re-anchoring needs d >= 2 sites, got d={d}")
+            try:
+                validate_target_ranks(self.target_ranks(d), d, self.sketch_rank)
+            except ValueError as exc:
+                raise ConfigError(
+                    "target_middle_rank",
+                    f"{exc} (target_edge_rank={self.target_edge_rank}, "
+                    f"target_middle_rank={self.target_middle_rank})",
+                ) from exc
+
+    def _validate_propagators(self):
+        """Reject a (g, dtau) whose bond or one-body propagator overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            prop = PropagatorSet.build(self.g, self.dtau)
+            bond = [prop.bond_prefactor, prop.lam]
+            bond += [f for x in (1, -1) for f in prop.bond_site_factors(x)]
+        if not np.all(np.isfinite(bond)):
+            raise ConfigError("dtau", f"bond propagator is not finite at dtau={self.dtau}")
+        if not np.all(np.isfinite(prop.one_body_half)):
+            raise ConfigError(
+                "g",
+                f"one-body propagator exp(g dtau sigma^x / 2) is not finite "
+                f"at g={self.g}, dtau={self.dtau}",
+            )
 
     def lattice(self):
         try:
             return build_lattice(self.lattice_kind, self.lattice_dims, self.lattice_boundary)
-        except ValueError as exc:
-            raise ConfigError("lattice_kind", str(exc)) from exc
+        except LatticeError as exc:
+            raise ConfigError(f"lattice_{exc.part}", str(exc)) from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError("lattice_dims", str(exc)) from exc
 
     def resolved_sketch_stop(self):
         if self.sketch_stop_step is not None:

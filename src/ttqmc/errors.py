@@ -38,6 +38,14 @@ class DeadEnsembleError(TtqmcError):
         self.diagnostics = diagnostics or {}
 
 
+class LatticeError(TtqmcError, ValueError):
+    """An unsupported lattice request; ``part`` is "kind", "dims" or "boundary"."""
+
+    def __init__(self, part, message):
+        super().__init__(message)
+        self.part = part
+
+
 class ConfigError(TtqmcError):
     """A run configuration value is missing, malformed, or inconsistent."""
 

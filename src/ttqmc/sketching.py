@@ -151,30 +151,31 @@ def _ensemble_arrays(walkers):
     return sites, coeff
 
 
-def _sweep_partials(tt, sites, coeff=None):
-    """Per-walker partial contractions of a sketch TT against product states.
+def _left_partials(tt, sites, coeff):
+    """Per-walker contractions of a sketch TT strictly left of every cut.
 
-    Returns lists ``L`` and ``R`` with L[c] / R[c] the contractions strictly
-    left / right of cut c, shaped (n_walkers, rank at cut c).  ``coeff`` is
+    Returns ``L`` with L[c] shaped (n_walkers, rank at cut c); ``coeff`` is
     folded into L[0].
     """
+    L = [coeff.reshape(-1, 1)]
+    for m, core in enumerate(tt.cores):
+        L.append(
+            (L[m] @ core[:, 0, :]) * sites[m][:, :1] + (L[m] @ core[:, 1, :]) * sites[m][:, 1:]
+        )
+    return L
+
+
+def _right_partials(tt, sites):
+    """Per-walker contractions strictly right of every cut: R[c] (n_walkers, rank)."""
     d = len(sites)
-    n = sites[0].shape[0]
-    L = [None] * (d + 1)
     R = [None] * (d + 1)
-    L[0] = np.ones((n, 1)) if coeff is None else np.asarray(coeff).reshape(n, 1).copy()
-    R[d] = np.ones((n, 1))
-    for m in range(d):
-        core = tt.cores[m]
-        L[m + 1] = (L[m] @ core[:, 0, :]) * sites[m][:, :1] + (
-            L[m] @ core[:, 1, :]
-        ) * sites[m][:, 1:]
+    R[d] = np.ones((sites[0].shape[0], 1))
     for m in range(d - 1, -1, -1):
         core = tt.cores[m]
         R[m] = (R[m + 1] @ core[:, 0, :].T) * sites[m][:, :1] + (
             R[m + 1] @ core[:, 1, :].T
         ) * sites[m][:, 1:]
-    return L, R
+    return R
 
 
 def sketch_ensemble(walkers, pair, target_ranks):
@@ -191,8 +192,8 @@ def sketch_ensemble(walkers, pair, target_ranks):
         raise DimensionMismatchError(f"sketch pair has d={pair.d}, walkers d={d}")
     ranks = validate_target_ranks(target_ranks, d, pair.sketch_rank)
 
-    L, _ = _sweep_partials(pair.left, sites, coeff=coeff)
-    _, R = _sweep_partials(pair.right, sites)
+    L = _left_partials(pair.left, sites, coeff)
+    R = _right_partials(pair.right, sites)
 
     def y_matrix(m):
         """Y at position m as a (rank_left, 2, rank_right) tensor."""

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DenseCapError
+from .errors import DenseCapError, LatticeError
 
 DENSE_H_CAP = 14
 
@@ -35,10 +35,14 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 class Lattice:
     """Site count, geometry, and the ordered bond list <i,j>.
 
-    ``bonds`` holds unordered pairs of distinct lattice sites in a fixed
-    (lexicographic) processing order.  ``tt_order[site]`` is the chain
-    position of each lattice site; ``chain_bonds`` is the bond list mapped
-    to chain positions with each pair sorted.
+    ``bonds`` holds unordered pairs of distinct lattice sites in
+    lexicographic order.  ``tt_order[site]`` is the chain position of each
+    lattice site; ``chain_bonds`` is the bond list mapped to chain positions
+    with each pair (p, q) sorted, in processing order: by right end q, and
+    for equal q the shorter bond first (key (q, -p)).  That order lets the
+    walker engine's left environment advance bond by bond, and puts a
+    periodic wrap bond (0, d-1) last, so it invalidates no right partial
+    that a later bond needs.
     """
 
     d: int
@@ -51,7 +55,8 @@ class Lattice:
     @property
     def chain_bonds(self):
         order = self.tt_order
-        return tuple(tuple(sorted((order[i], order[j]))) for i, j in self.bonds)
+        pairs = (tuple(sorted((order[i], order[j]))) for i, j in self.bonds)
+        return tuple(sorted(pairs, key=lambda b: (b[1], -b[0])))
 
     def describe(self):
         return {
@@ -86,34 +91,34 @@ def build_lattice(kind, dims, boundary):
     """
     dims = tuple(int(x) for x in (dims if np.iterable(dims) else (dims,)))
     if any(x < 1 for x in dims):
-        raise ValueError(f"dims must be positive, got {dims}")
+        raise LatticeError("dims", f"dims must be positive, got {dims}")
 
     if kind == "chain":
         if len(dims) != 1:
-            raise ValueError(f"chain expects one dim, got {dims}")
+            raise LatticeError("dims", f"chain expects one dim, got {dims}")
         d = dims[0]
         if boundary not in ("open", "periodic"):
-            raise ValueError(f"unsupported chain boundary {boundary!r}")
+            raise LatticeError("boundary", f"unsupported chain boundary {boundary!r}")
         bonds = [(i, i + 1) for i in range(d - 1)]
         if boundary == "periodic":
             if d < 3:
-                raise ValueError(
-                    "periodic chain needs d >= 3 (d=2 would double the bond)"
+                raise LatticeError(
+                    "dims", "periodic chain needs d >= 3 (d=2 would double the bond)"
                 )
             bonds.append((0, d - 1))
         order = tuple(range(d))
 
     elif kind in ("grid", "cylinder"):
         if len(dims) != 2:
-            raise ValueError(f"{kind} expects two dims, got {dims}")
+            raise LatticeError("dims", f"{kind} expects two dims, got {dims}")
         n0, n1 = dims
         if kind == "grid" and boundary != "open":
-            raise ValueError(f"unsupported grid boundary {boundary!r}")
+            raise LatticeError("boundary", f"unsupported grid boundary {boundary!r}")
         if kind == "cylinder":
             if boundary != "periodic":
-                raise ValueError(f"unsupported cylinder boundary {boundary!r}")
+                raise LatticeError("boundary", f"unsupported cylinder boundary {boundary!r}")
             if n0 < 3:
-                raise ValueError("cylinder ring axis needs at least 3 sites")
+                raise LatticeError("dims", "cylinder ring axis needs at least 3 sites")
         d = n0 * n1
         site = lambda a, b: a * n1 + b  # noqa: E731 - lattice site label
         bonds = []
@@ -133,7 +138,7 @@ def build_lattice(kind, dims, boundary):
         order = tuple(order)
 
     else:
-        raise ValueError(f"unsupported lattice kind {kind!r}")
+        raise LatticeError("kind", f"unsupported lattice kind {kind!r}")
 
     bonds = tuple(sorted(tuple(sorted(b)) for b in set(map(tuple, map(sorted, bonds)))))
     return Lattice(d=d, kind=kind, dims=dims, boundary=boundary, bonds=bonds, tt_order=order)

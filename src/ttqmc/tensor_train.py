@@ -12,6 +12,13 @@ Conventions fixed package-wide:
 
 Cores are stored dense, double precision, read-only; no canonical form is
 maintained.  All operations here are pure.
+
+Contractions of a TT against a batch of n product states use one
+walker-last kernel: a partial contraction is an (r, n) array, and a site
+step splits over the physical index into the two halves
+``(C_i^T @ L) * v[:, i]`` (left) or ``(C_i @ R) * v[:, i]`` (right), one
+GEMM with the stacked transfer matrix.  Their sum is the partial through
+that site; bond and local-energy overlaps combine the halves separately.
 """
 
 from __future__ import annotations
@@ -121,19 +128,64 @@ class ProductState:
         return v
 
 
+def left_transfer(core):
+    """Core (r, 2, r') as the stacked (2 r', r) matrix [C_0^T; C_1^T]."""
+    return np.ascontiguousarray(np.transpose(core, (1, 2, 0)).reshape(-1, core.shape[0]))
+
+
+def right_transfer(core):
+    """Core (r, 2, r') as the stacked (2 r, r') matrix [C_0; C_1]."""
+    return np.ascontiguousarray(np.transpose(core, (1, 0, 2)).reshape(-1, core.shape[2]))
+
+
+def left_halves(L, wl, v):
+    """Both physical halves of one left site step, walker-last.
+
+    ``L`` (r, n) contracts the sites left of site m for n product states,
+    ``wl`` is ``left_transfer`` of core m and ``v`` the (n, 2) site-m
+    vectors.  Returns (2, r', n) with ``[i] = (C_i^T @ L) * v[:, i]``.
+    """
+    return (wl @ L).reshape(2, -1, L.shape[-1]) * v.T[:, None, :]
+
+
+def right_halves(R, wr, v):
+    """Right-side counterpart of ``left_halves``: ``[i] = (C_i @ R) * v[:, i]``."""
+    return (wr @ R).reshape(2, -1, R.shape[-1]) * v.T[:, None, :]
+
+
+def advance_left(L, wl, v):
+    """Left partial through one more site: the sum of its two halves."""
+    h = left_halves(L, wl, v)
+    return h[0] + h[1]
+
+
+def advance_right(R, wr, v):
+    """Right partial through one more site: the sum of its two halves."""
+    h = right_halves(R, wr, v)
+    return h[0] + h[1]
+
+
+def product_overlaps(wls, sites):
+    """<tt, phi_k> for a batch of product states, by one left sweep.
+
+    ``wls`` holds ``left_transfer`` of every core, ``sites`` the (n, 2)
+    site vectors per site.  Cost O(d r^2 n).
+    """
+    L = np.ones((1, sites[0].shape[0]))
+    for wl, v in zip(wls, sites):
+        L = advance_left(L, wl, v)
+    return L[0]
+
+
 def tt_product_overlap(tt, phi):
-    """<tt, phi> for a product state phi, by chained core-vector contractions.
+    """<tt, phi> for a product state phi: ``product_overlaps`` on a batch of one.
 
     Cost is O(d r^2); exact up to floating-point rounding.
     """
     if tt.d != phi.d:
         raise DimensionMismatchError(f"tt has d={tt.d}, product state has d={phi.d}")
-    sites = phi.sites
-    v = np.ones((1, 1))
-    for m, core in enumerate(tt.cores):
-        # (1, r_m) @ (r_m, r_{m+1})
-        v = v @ np.tensordot(sites[m], core, axes=(0, 1))
-    return float(v[0, 0])
+    wls = [left_transfer(c) for c in tt.cores]
+    return float(product_overlaps(wls, list(phi.sites[:, None, :]))[0])
 
 
 def tt_tt_overlap(a, b):

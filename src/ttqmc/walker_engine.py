@@ -16,14 +16,29 @@ A walker whose overlap becomes non-positive is killed (weight 0) and stays
 inert: never propagated, never counted.
 
 The ensemble is stored struct-of-arrays (one (n_walkers, 2) array per chain
-position) so every update is vectorized over walkers.  Trial overlaps are
-maintained through incremental left/right partial contractions; a bond at
-chain positions (p, q) re-contracts only the segment [p, q].  Randomness
-comes from counter-based Philox streams keyed by (seed, purpose, step,
-bond), so trajectories are reproducible for a fixed seed regardless of
-thread count.  Walker site vectors are renormalized to unit norm at the
-end of every step; the represented ensemble sum_k w_k phi_k / O_tr(phi_k)
-is invariant under that rescaling.
+position) so every update is vectorized over walkers.  Every TT trial
+overlap goes through the walker-last kernel of ``tensor_train``: partial
+contractions are (rank, n_walkers) arrays, and a site step is one GEMM with
+the core's stacked transfer matrix followed by the two physical halves
+(C_i^T L) * v[:, i].  ``TrialHandle.overlap`` runs the same left sweep on a
+batch of one, so stored and directly computed overlaps share one path.
+
+A bond at chain positions (p, q) yields both field overlaps from one pass:
+the sum and the difference of the site-p halves (the difference is sigma^z
+at p, carried across the inner sites; the sum carried to q is left[q]) are
+dotted with the two site-q halves, and the diagonal field factors combine
+the four dots.  Once a field is chosen the site-p halves give the new
+left[p+1], which the cache stores.  Bonds run in ``Lattice.chain_bonds``
+order, by right end q and shorter first for equal q, so each
+nearest-neighbour bond finds its left environment already advanced, the
+right environment is built once per step, and a periodic wrap bond runs
+last.
+
+Randomness comes from counter-based Philox streams keyed by (seed,
+purpose, step, bond), so trajectories are reproducible for a fixed seed
+regardless of thread count.  Walker site vectors are renormalized to unit
+norm at the end of every step; the represented ensemble
+sum_k w_k phi_k / O_tr(phi_k) is invariant under that rescaling.
 """
 
 from __future__ import annotations
@@ -33,7 +48,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DeadEnsembleError, DimensionMismatchError
-from .tensor_train import ProductState, TensorTrain, tt_product_overlap, tt_to_dense
+from .tensor_train import (
+    ProductState,
+    TensorTrain,
+    advance_left,
+    advance_right,
+    left_halves,
+    left_transfer,
+    product_overlaps,
+    right_halves,
+    right_transfer,
+    tt_to_dense,
+)
 
 _PURPOSE_BOND = 1
 _PURPOSE_POP = 2
@@ -58,10 +84,12 @@ class TrialHandle:
     """A trial wavefunction usable for overlaps: a TT or a dense vector.
 
     Product-state trials are held as rank-1 TTs.  The handle is immutable;
-    overlap caches are built per ensemble, not stored here.
+    overlap caches are built per ensemble, not stored here.  ``wl`` and
+    ``wr`` are the stacked per-core transfer matrices of the walker-last
+    kernel in ``tensor_train``.
     """
 
-    __slots__ = ("kind", "tt", "dense_vec", "d", "cmats", "shapes")
+    __slots__ = ("kind", "tt", "dense_vec", "d", "wl", "wr")
 
     def __init__(self, kind, d, tt=None, dense_vec=None):
         self.kind = kind
@@ -69,13 +97,10 @@ class TrialHandle:
         self.tt = tt
         self.dense_vec = dense_vec
         if kind == "tt":
-            self.shapes = [(c.shape[0], c.shape[2]) for c in tt.cores]
-            self.cmats = [
-                np.ascontiguousarray(c.transpose(1, 0, 2).reshape(2, -1)) for c in tt.cores
-            ]
+            self.wl = [left_transfer(c) for c in tt.cores]
+            self.wr = [right_transfer(c) for c in tt.cores]
         elif kind == "dense":
-            self.shapes = None
-            self.cmats = None
+            self.wl = self.wr = None
         else:
             raise ValueError(f"unknown trial kind {kind!r}")
 
@@ -97,11 +122,14 @@ class TrialHandle:
         return cls("dense", d, dense_vec=vec)
 
     def overlap(self, phi):
-        """<psi_tr, phi> by direct contraction (no cache)."""
+        """<psi_tr, phi> by direct contraction (no cache).
+
+        A TT trial uses the ensemble cache's left sweep on a batch of one.
+        """
         if phi.d != self.d:
             raise DimensionMismatchError(f"trial d={self.d}, state d={phi.d}")
         if self.kind == "tt":
-            return tt_product_overlap(self.tt, phi)
+            return float(product_overlaps(self.wl, list(phi.sites[:, None, :]))[0])
         return float(self.dense_vec @ phi.to_dense())
 
     def to_dense(self, cap=20):
@@ -117,7 +145,13 @@ class TrialHandle:
 
 
 class _TTCache:
-    """Incremental <psi_tr, phi_k> partials for a TT trial over an ensemble."""
+    """Walker-last partial contractions <psi_tr, phi_k> over an ensemble.
+
+    ``left[m]`` (r_m, n) contracts sites < m, ``right[m]`` sites >= m;
+    left[m] is valid for m <= lv and right[m] for m >= rv.  ``bond_overlaps``
+    keeps the site-p halves so that ``apply_bond`` can store the new
+    left[p+1] without recontraction.
+    """
 
     def __init__(self, handle, sites):
         self.handle = handle
@@ -126,33 +160,23 @@ class _TTCache:
         n = sites[0].shape[0]
         self.left = [None] * (d + 1)
         self.right = [None] * (d + 1)
-        self.left[0] = np.ones((n, 1))
-        self.right[d] = np.ones((n, 1))
-        self.lv = 0  # left[m] valid for m <= lv
-        self.rv = d  # right[m] valid for m >= rv
-
-    def _site_mat(self, m, vecs=None):
-        v = self.sites[m] if vecs is None else vecs
-        rl, rr = self.handle.shapes[m]
-        return (v @ self.handle.cmats[m]).reshape(-1, rl, rr)
+        self.left[0] = np.ones((1, n))
+        self.right[d] = np.ones((1, n))
+        self.lv = 0
+        self.rv = d
+        self._halves = None  # site-p halves of the last bond_overlaps call
 
     def ensure_left(self, m):
         while self.lv < m:
             j = self.lv
-            M = self._site_mat(j)
-            self.left[j + 1] = np.matmul(self.left[j][:, None, :], M)[:, 0, :]
+            self.left[j + 1] = advance_left(self.left[j], self.handle.wl[j], self.sites[j])
             self.lv += 1
 
     def ensure_right(self, m):
         while self.rv > m:
             j = self.rv - 1
-            M = self._site_mat(j)
-            self.right[j] = np.matmul(M, self.right[j + 1][:, :, None])[:, :, 0]
+            self.right[j] = advance_right(self.right[j + 1], self.handle.wr[j], self.sites[j])
             self.rv -= 1
-
-    def note_sites_changed(self, p, q):
-        self.lv = min(self.lv, p)
-        self.rv = max(self.rv, q + 1)
 
     def note_all_changed(self):
         self.lv = 0
@@ -160,55 +184,66 @@ class _TTCache:
 
     def overlaps(self):
         self.ensure_left(self.handle.d)
-        return self.left[self.handle.d][:, 0].copy()
+        return self.left[self.handle.d][0].copy()
 
-    def bond_overlaps(self, p, q, fac_p, fac_q):
-        """(<psi, b(+1) phi_k>, <psi, b(-1) phi_k>) for the bond at (p, q)."""
+    def _bond_dots(self, p, q):
+        """Sum and difference contractions of a bond, dotted with site q.
+
+        ``h`` holds the two physical halves of site p.  Their sum carried
+        to cut q is left[q]; their difference (sigma^z at site p) is carried
+        through the inner sites.  Returns ``h`` and E (2, 2, n) with
+        E[0, j] = <left[q], B_j> and E[1, j] = <diff, B_j>, where B_j is
+        half j of site q against right[q+1].
+        """
         self.ensure_left(p)
         self.ensure_right(q + 1)
-        L = self.left[p]
-        R = self.right[q + 1]
-        inner = [self._site_mat(m) for m in range(p + 1, q)]
-        out = {}
-        for x in (1, -1):
-            Mp = self._site_mat(p, self.sites[p] * fac_p[x])
-            T = np.matmul(L[:, None, :], Mp)[:, 0, :]
-            for M in inner:
-                T = np.matmul(T[:, None, :], M)[:, 0, :]
-            Mq = self._site_mat(q, self.sites[q] * fac_q[x])
-            T = np.matmul(T[:, None, :], Mq)[:, 0, :]
-            out[x] = np.einsum("kr,kr->k", T, R)
-        return out[1], out[-1]
+        wl, sites = self.handle.wl, self.sites
+        h = left_halves(self.left[p], wl[p], sites[p])
+        if self.lv == p:
+            self.left[p + 1] = h[0] + h[1]
+            self.lv = p + 1
+        self.ensure_left(q)
+        diff = h[0] - h[1]
+        for m in range(p + 1, q):
+            diff = advance_left(diff, wl[m], sites[m])
+        b = right_halves(self.right[q + 1], self.handle.wr[q], sites[q])
+        e = np.empty((2, 2, b.shape[-1]))
+        np.einsum("rn,jrn->jn", self.left[q], b, out=e[0])
+        np.einsum("rn,jrn->jn", diff, b, out=e[1])
+        return h, e
 
-    def apply_bond(self, p, q, act, sel_plus, fac_p, fac_q):
-        self.note_sites_changed(p, q)
+    def bond_overlaps(self, p, q, fac_p, fac_q):
+        """Rows <psi, b(+1) phi_k> and <psi, b(-1) phi_k> for the bond at (p, q)."""
+        self._halves, e = self._bond_dots(p, q)
+        # site-p factors in the (sum, difference) basis of the halves
+        sum_diff = fac_p[:2] @ np.array([[0.5, 0.5], [0.5, -0.5]])
+        pair = (sum_diff[:, :, None] * fac_q[:2, None, :]).reshape(2, 4)
+        return pair @ e.reshape(4, -1)
+
+    def apply_bond(self, p, q, fp, fq):
+        """Store left[p+1] for the applied site-p factors ``fp`` (n, 2)."""
+        self.left[p + 1] = np.einsum("irn,in->rn", self._halves, np.ascontiguousarray(fp.T))
+        self._halves = None
+        self.lv = p + 1
+        self.rv = max(self.rv, q + 1)
 
     def ensure_measure(self):
         self.ensure_left(self.handle.d)
         self.ensure_right(0)
 
-    def _one_site_overlap(self, m, vecs):
-        M = self._site_mat(m, vecs)
-        T = np.matmul(self.left[m][:, None, :], M)[:, 0, :]
-        return np.einsum("kr,kr->k", T, self.right[m + 1])
-
     def sigma_x_overlaps(self, m):
-        return self._one_site_overlap(m, self.sites[m][:, ::-1])
+        flipped = advance_left(self.left[m], self.handle.wl[m], self.sites[m][:, ::-1])
+        return np.einsum("rn,rn->n", flipped, self.right[m + 1])
 
     def zz_overlaps(self, p, q):
-        sign = np.array([1.0, -1.0])
-        L = self.left[p]
-        T = np.matmul(L[:, None, :], self._site_mat(p, self.sites[p] * sign))[:, 0, :]
-        for m in range(p + 1, q):
-            T = np.matmul(T[:, None, :], self._site_mat(m))[:, 0, :]
-        T = np.matmul(T[:, None, :], self._site_mat(q, self.sites[q] * sign))[:, 0, :]
-        return np.einsum("kr,kr->k", T, self.right[q + 1])
+        _, e = self._bond_dots(p, q)
+        return e[1, 0] - e[1, 1]
 
     def gather(self, src):
         for m in range(self.lv + 1):
-            self.left[m] = self.left[m][src]
+            self.left[m] = np.take(self.left[m], src, axis=1)
         for m in range(self.rv, self.handle.d + 1):
-            self.right[m] = self.right[m][src]
+            self.right[m] = np.take(self.right[m], src, axis=1)
 
 
 class _DenseCache:
@@ -231,9 +266,6 @@ class _DenseCache:
                 v = (v[:, :, None] * self.sites[m][:, None, :]).reshape(v.shape[0], -1)
             self.vec = v
 
-    def note_sites_changed(self, p, q):
-        self.vec = None
-
     def note_all_changed(self):
         self.vec = None
 
@@ -243,19 +275,16 @@ class _DenseCache:
 
     def bond_overlaps(self, p, q, fac_p, fac_q):
         self._ensure_vec()
-        out = {}
-        for x in (1, -1):
-            psx = self.psi * fac_p[x][self.bits[p]] * fac_q[x][self.bits[q]]
-            out[x] = self.vec @ psx
-        return out[1], out[-1]
+        return np.array(
+            [
+                self.vec @ (self.psi * fac_p[x][self.bits[p]] * fac_q[x][self.bits[q]])
+                for x in (0, 1)
+            ]
+        )
 
-    def apply_bond(self, p, q, act, sel_plus, fac_p, fac_q):
-        if self.vec is None:
-            return
-        d_plus = fac_p[1][self.bits[p]] * fac_q[1][self.bits[q]]
-        d_minus = fac_p[-1][self.bits[p]] * fac_q[-1][self.bits[q]]
-        diag = np.where(sel_plus[:, None], d_plus, d_minus)
-        self.vec = np.where(act[:, None], self.vec * diag, self.vec)
+    def apply_bond(self, p, q, fp, fq):
+        if self.vec is not None:
+            self.vec = self.vec * (fp[:, self.bits[p]] * fq[:, self.bits[q]])
 
     def ensure_measure(self):
         self._ensure_vec()
@@ -370,7 +399,7 @@ def _one_body_half(ens, cache, prop, alive, all_alive, normalize):
     for m in range(ens.d):
         new = ens.sites[m] @ B
         if normalize:
-            norms = np.linalg.norm(new, axis=1)
+            norms = np.sqrt(np.einsum("ij,ij->i", new, new))
             scale *= norms
             new = new / norms[:, None]
         ens.sites[m] = _write_masked(ens.sites[m], alive, all_alive, new)
@@ -384,8 +413,15 @@ def _one_body_half(ens, cache, prop, alive, all_alive, normalize):
 
 
 def _bond_factors(prop):
-    fac_p = {x: prop.bond_prefactor * prop.bond_site_factors(x) for x in (1, -1)}
-    fac_q = {x: prop.bond_site_factors(x) for x in (1, -1)}
+    """Diagonal HS site factors of a bond as (3, 2) arrays (fac_p, fac_q).
+
+    Row 0 is the field x = +1, row 1 is x = -1 and row 2 is all ones, the
+    "no update" row for walkers a bond leaves unchanged.  The bond prefactor
+    exp(-dtau) is folded into the site-p factors.
+    """
+    fac_q = np.array([prop.bond_site_factors(1), prop.bond_site_factors(-1), np.ones(2)])
+    fac_p = fac_q.copy()
+    fac_p[:2] *= prop.bond_prefactor
     return fac_p, fac_q
 
 
@@ -395,28 +431,27 @@ def _sample_bond_kernel(ens, cache, p, q, fac_p, fac_q, uniforms, alive, all_ali
     Returns the updated alive mask (walkers with both field overlaps
     non-positive are killed).
     """
-    o_plus, o_minus = cache.bond_overlaps(p, q, fac_p, fac_q)
-    o_plus = np.maximum(o_plus, 0.0)
-    o_minus = np.maximum(o_minus, 0.0)
-    tot = o_plus + o_minus
-    sel_plus = uniforms * tot < o_plus
+    o = np.maximum(cache.bond_overlaps(p, q, fac_p, fac_q), 0.0)
+    tot = o[0] + o[1]
+    sel_minus = uniforms * tot >= o[0]
     act = alive & (tot > 0.0)
-    killed = alive & ~act
     all_act = bool(act.all())
+    field = sel_minus.astype(np.intp)
 
     denom = np.where(ens.ovlp > 0.0, ens.ovlp, 1.0)
     norm_const = 0.5 * tot / denom
     ens.weight = _write_masked(ens.weight, act, all_act, ens.weight * norm_const)
-    if killed.any():
-        ens.weight = np.where(killed, 0.0, ens.weight)
-    ens.ovlp = _write_masked(ens.ovlp, act, all_act, np.where(sel_plus, o_plus, o_minus))
+    if not all_act:
+        field[~act] = 2
+        ens.weight = np.where(alive & ~act, 0.0, ens.weight)
+    ens.ovlp = _write_masked(ens.ovlp, act, all_act, np.where(sel_minus, o[1], o[0]))
 
-    fp = np.where(sel_plus[:, None], fac_p[1], fac_p[-1])
-    fq = np.where(sel_plus[:, None], fac_q[1], fac_q[-1])
-    ens.sites[p] = _write_masked(ens.sites[p], act, all_act, ens.sites[p] * fp)
-    ens.sites[q] = _write_masked(ens.sites[q], act, all_act, ens.sites[q] * fq)
-    cache.apply_bond(p, q, act, sel_plus, fac_p, fac_q)
-    return alive & (tot > 0.0)
+    fp = np.take(fac_p, field, axis=0)
+    fq = np.take(fac_q, field, axis=0)
+    ens.sites[p] = ens.sites[p] * fp
+    ens.sites[q] = ens.sites[q] * fq
+    cache.apply_bond(p, q, fp, fq)
+    return act
 
 
 def apply_one_body(walker, trial, propagators):

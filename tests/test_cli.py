@@ -129,6 +129,28 @@ class TestCmdRun:
         cfg_path = write_config(tmp_path, dtau=-0.5)
         assert cli.main(["run", "--config", cfg_path]) == 2
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            (
+                {"lattice_dims": [8], "target_edge_rank": 1, "target_middle_rank": 4},
+                "target_middle_rank",
+            ),
+            ({"lattice_dims": [1], "lattice_boundary": "open"}, "lattice_dims"),
+            ({"lattice_kind": "grid", "lattice_dims": [3, 3]}, "lattice_boundary"),
+            ({"lattice_dims": [3, 3]}, "lattice_dims"),
+            ({"lattice_kind": "triangular"}, "lattice_kind"),
+            ({"g": 1e308}, "g"),
+            ({"dtau": 500.0}, "dtau"),
+        ],
+    )
+    def test_bad_config_exit_2_names_field(self, tmp_path, capsys, overrides, field):
+        cfg_path = write_config(tmp_path, **overrides)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfg_path, "--out-dir", str(out)]) == 2
+        assert f"config field '{field}'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_exit_2(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "nope.json")]) == 2
 

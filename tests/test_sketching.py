@@ -3,12 +3,14 @@ import pytest
 
 from ttqmc.errors import DimensionMismatchError, RankZeroError
 from ttqmc.sketching import (
+    _left_partials,
+    _right_partials,
     least_squares_core,
     make_sketch_pair,
     sketch_ensemble,
     validate_target_ranks,
 )
-from ttqmc.tensor_train import ProductState, TensorTrain, tt_to_dense
+from ttqmc.tensor_train import ProductState, TensorTrain, tt_product_overlap, tt_to_dense
 from ttqmc.walker_engine import Walker
 
 
@@ -209,3 +211,31 @@ class TestSketchEnsemble:
         pair = make_sketch_pair(5, 6, 0.1, seed=2)
         with pytest.raises(DimensionMismatchError):
             sketch_ensemble([walker], pair, [2, 2, 2, 2])
+
+
+class TestSweepPartials:
+    def test_partials_match_sub_train_overlaps(self, rng):
+        # L[c][k, a] is walker k's sites < c against the sketch's cores
+        # 0..c-1 with the last right index fixed to a (times coeff[k]);
+        # R[c][k, a] likewise for sites >= c with the first left index a.
+        d, n = 5, 4
+        pair = make_sketch_pair(d, 3, 0.1, seed=7)
+        sites = [rng.standard_normal((n, 2)) for _ in range(d)]
+        coeff = rng.random(n) + 0.5
+        L = _left_partials(pair.left, sites, coeff)
+        R = _right_partials(pair.right, sites)
+        assert len(L) == len(R) == d + 1
+        for k in range(n):
+            walker = np.stack([s[k] for s in sites])
+            for c in range(1, d + 1):
+                cores = [np.asarray(g) for g in pair.left.cores[:c]]
+                for a in range(L[c].shape[1]):
+                    sub = TensorTrain(cores[:-1] + [cores[-1][:, :, a : a + 1]])
+                    ref = coeff[k] * tt_product_overlap(sub, ProductState(walker[:c]))
+                    assert L[c][k, a] == pytest.approx(ref, rel=1e-12, abs=1e-14)
+            for c in range(d):
+                cores = [np.asarray(g) for g in pair.right.cores[c:]]
+                for a in range(R[c].shape[1]):
+                    sub = TensorTrain([cores[0][a : a + 1]] + cores[1:])
+                    ref = tt_product_overlap(sub, ProductState(walker[c:]))
+                    assert R[c][k, a] == pytest.approx(ref, rel=1e-12, abs=1e-14)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from ttqmc import walker_engine
 from ttqmc.errors import DeadEnsembleError
 from ttqmc.oracle import exact_ground
 from ttqmc.qmc_driver import default_trial, mixed_energy
 from ttqmc.spin_model import PropagatorSet, build_lattice, hs_lambda
-from ttqmc.tensor_train import ProductState
+from ttqmc.tensor_train import ProductState, TensorTrain, advance_left, tt_to_dense
 from ttqmc.walker_engine import (
     Ensemble,
     TrialHandle,
@@ -368,3 +369,93 @@ class TestTrialHandle:
     def test_dense_trial_rejects_bad_length(self):
         with pytest.raises(ValueError):
             TrialHandle.from_dense(np.ones(6))
+
+
+def _signed_ensemble(rng, d, n, dead=()):
+    ens = Ensemble(
+        [rng.standard_normal((n, 2)) for _ in range(d)], np.ones(n), np.ones(n), seed=0
+    )
+    ens.weight[list(dead)] = 0.0
+    return ens
+
+
+def _dense_bond_overlaps(psi, ens, p, q, fac_p, fac_q):
+    """Kronecker-expanded <psi, b(x) phi_k>, rows x = +1, -1."""
+    out = np.empty((2, ens.n_walkers))
+    for x in (0, 1):
+        for k in range(ens.n_walkers):
+            sites = np.stack([s[k] for s in ens.sites])
+            sites[p] = sites[p] * fac_p[x]
+            sites[q] = sites[q] * fac_q[x]
+            out[x, k] = psi @ ProductState(sites).to_dense()
+    return out
+
+
+class TestTTKernel:
+    @pytest.mark.parametrize(
+        "lattice",
+        [
+            build_lattice("chain", (7,), "periodic"),
+            build_lattice("cylinder", (4, 2), "periodic"),
+        ],
+        ids=["chain7", "cylinder4x2"],
+    )
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_bond_overlaps_match_dense(self, rng, lattice, rank):
+        # nearest-neighbour, wrap and snake-order cylinder bonds (span up to 7)
+        tt = random_tt(rng, lattice.d, rank)
+        psi = tt_to_dense(tt)
+        trial = TrialHandle.from_tt(tt)
+        fac_p, fac_q = walker_engine._bond_factors(PropagatorSet.build(1.0, 0.05))
+        ens = _signed_ensemble(rng, lattice.d, 5, dead=(1,))
+        cache = ens.attach(trial)
+        spans = set()
+        for p, q in lattice.chain_bonds:
+            got = cache.bond_overlaps(p, q, fac_p, fac_q)
+            ref = _dense_bond_overlaps(psi, ens, p, q, fac_p, fac_q)
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+            spans.add(q - p)
+        assert max(spans) == lattice.d - 1
+
+    def test_apply_bond_stores_fresh_left_partial(self, rng):
+        d = 8
+        trial = TrialHandle.from_tt(random_tt(rng, d, 3))
+        fac_p, fac_q = walker_engine._bond_factors(PropagatorSet.build(1.0, 0.05))
+        for p, q in [(2, 3), (1, 6), (0, 7)]:
+            ens = _signed_ensemble(rng, d, 6, dead=(0, 4))
+            cache = ens.attach(trial)
+            alive = ens.alive
+            walker_engine._sample_bond_kernel(
+                ens, cache, p, q, fac_p, fac_q, rng.random(6), alive, False
+            )
+            assert cache.lv == p + 1
+            fresh = advance_left(cache.left[p], trial.wl[p], ens.sites[p])
+            np.testing.assert_allclose(cache.left[p + 1], fresh, rtol=1e-13, atol=1e-15)
+            # the cached partials give the same overlaps as a fresh sweep
+            stored = cache.overlaps()
+            cache.note_all_changed()
+            np.testing.assert_allclose(stored, cache.overlaps(), rtol=1e-12)
+
+    def test_step_rebuilds_right_partials_once(self, rng, monkeypatch):
+        # bonds run by right end with the wrap bond last, so one step
+        # builds the right environment once (d - 2 sites after the one-body
+        # half) instead of again after an early wrap bond
+        d = 16
+        lat = build_lattice("chain", (d,), "periodic")
+        tt = random_tt(rng, d, 2)
+        trial = TrialHandle.from_tt(TensorTrain([np.abs(c) for c in tt.cores]))
+        ens = Ensemble.from_trial_product(uniform_trial(d), 20, seed=2)
+        reanchor_overlaps(ens, trial)
+        prop = PropagatorSet.build(1.0, 0.01)
+        rebuilt = []
+        ensure_right = walker_engine._TTCache.ensure_right
+
+        def counting(cache, m):
+            rebuilt.append(max(cache.rv - m, 0))
+            ensure_right(cache, m)
+
+        monkeypatch.setattr(walker_engine._TTCache, "ensure_right", counting)
+        step(ens, trial, lat, prop)
+        rebuilt.clear()
+        step(ens, trial, lat, prop)
+        assert 0 < sum(rebuilt) <= d + 2
