@@ -97,10 +97,10 @@ class RunConfig:
             bond += [f for x in (1, -1) for f in prop.bond_site_factors(x)]
         if not np.all(np.isfinite(bond)):
             raise ConfigError("dtau", f"bond propagator is not finite at dtau={self.dtau}")
-        if not np.all(np.isfinite(prop.one_body_half)):
+        if not np.all(np.isfinite(prop.one_body_full)):
             raise ConfigError(
                 "g",
-                f"one-body propagator exp(g dtau sigma^x / 2) is not finite "
+                f"one-body propagator exp(g dtau sigma^x) is not finite "
                 f"at g={self.g}, dtau={self.dtau}",
             )
 

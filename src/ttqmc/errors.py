@@ -52,3 +52,15 @@ class ConfigError(TtqmcError):
     def __init__(self, field, message):
         super().__init__(f"config field '{field}': {message}")
         self.field = field
+
+
+class PendingHalfStepError(TtqmcError):
+    """An ensemble was observed while a half one-body step was still owed."""
+
+    def __init__(self, observer, step):
+        super().__init__(
+            f"{observer} called after step {step} was taken with settle=False; "
+            "take the next step with settle=True first"
+        )
+        self.observer = observer
+        self.step = step

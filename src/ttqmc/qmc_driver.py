@@ -11,8 +11,10 @@ always measured with the mixed estimator
 
 evaluated term by term (sigma^x and sigma^z sigma^z applied to a product
 state are again product states).  Within a step the order is: propagate,
-measure, population control, sketch + re-anchor.  Runs are bit-reproducible
-for a fixed seed.
+measure, population control, sketch + re-anchor.  A step that none of
+these follows, and that is not the last, leaves its trailing half one-body
+propagator to the next step (``step(settle=False)``), which applies the two
+halves as one full propagator.  Runs are bit-reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -140,6 +142,7 @@ def _batch_local_energies(ensemble, trial, lattice, g):
 
 def mixed_energy(ensemble, trial, lattice, g):
     """Weight-weighted average of local energies over alive walkers."""
+    ensemble.require_settled("mixed_energy")
     total = float(ensemble.weight.sum())
     if total <= 0.0:
         raise DeadEnsembleError("mixed energy with zero total weight")
@@ -225,20 +228,24 @@ def run(config, initial_trial=None):
     try:
         measure(0)
         for n in range(1, sched.total_steps + 1):
-            t0 = time.perf_counter()
-            step(ensemble, trial, lattice, prop)
-            timers["propagate"] += time.perf_counter() - t0
-            if n % sched.measure_every == 0:
-                measure(n)
-            if n % sched.popcontrol_every == 0:
-                t0 = time.perf_counter()
-                population_control(ensemble, stream(config.seed, _PURPOSE_POP, n))
-                timers["popcontrol"] += time.perf_counter() - t0
-            if (
+            measuring = n % sched.measure_every == 0
+            combing = n % sched.popcontrol_every == 0
+            sketching = (
                 config.reanchor
                 and n % sched.sketch_every == 0
                 and n <= sched.sketch_stop_step
-            ):
+            )
+            settle = measuring or combing or sketching or n == sched.total_steps
+            t0 = time.perf_counter()
+            step(ensemble, trial, lattice, prop, settle=settle)
+            timers["propagate"] += time.perf_counter() - t0
+            if measuring:
+                measure(n)
+            if combing:
+                t0 = time.perf_counter()
+                population_control(ensemble, stream(config.seed, _PURPOSE_POP, n))
+                timers["popcontrol"] += time.perf_counter() - t0
+            if sketching:
                 t0 = time.perf_counter()
                 tt = sketch_ensemble(ensemble, pair, target_ranks)
                 trial = TrialHandle.from_tt(tt)

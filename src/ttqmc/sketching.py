@@ -12,8 +12,9 @@ partial products, so nothing of size 2^d is ever materialized.
 
 First phase: cores are solved cut by cut from cross matrices X formed
 sequentially out of the already-solved cores.  Second phase: each X is
-truncated by SVD to the target rank and the right-singular-vector factors
-are contracted into the neighboring cores.
+truncated to the target rank through the SVD its first-phase solve already
+took, and the right-singular-vector factors are contracted into the
+neighboring cores.
 """
 
 from __future__ import annotations
@@ -89,20 +90,30 @@ def least_squares_core(X, Y, cutoff):
     treated as exact zeros (null space).  Raises RankZeroError if nothing
     survives the threshold.
     """
+    return _svd_solve(_svd(X), Y, cutoff)
+
+
+def _svd(X):
+    """Thin SVD (U, s, Vt) of a square or tall X."""
     X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < X.shape[1]:
         raise ValueError(f"X must be square or tall, got shape {X.shape}")
-    U, s, Vt = np.linalg.svd(X, full_matrices=False)
+    return np.linalg.svd(X, full_matrices=False)
+
+
+def _svd_solve(svd, Y, cutoff):
+    """``least_squares_core`` with the SVD of X already taken."""
+    U, s, Vt = svd
+    Y = np.asarray(Y, dtype=np.float64)
     if s.size == 0 or s[0] <= 0.0 or not np.isfinite(s[0]):
         raise RankZeroError(None)
     keep = s > cutoff * s[0]
     if not keep.any():
         raise RankZeroError(None)
-    y_mat = Y.reshape(X.shape[0], -1)
+    y_mat = Y.reshape(U.shape[0], -1)
     coeff = (U[:, keep].T @ y_mat) / s[keep][:, None]
     sol = Vt[keep].T @ coeff
-    return sol.reshape((X.shape[1],) + Y.shape[1:])
+    return sol.reshape((Vt.shape[1],) + Y.shape[1:])
 
 
 def validate_target_ranks(target_ranks, d, sketch_rank):
@@ -128,6 +139,7 @@ def validate_target_ranks(target_ranks, d, sketch_rank):
 def _ensemble_arrays(walkers):
     """Site arrays and coefficients c_k = w_k / O_tr(phi_k), zero weights dropped."""
     if hasattr(walkers, "sites") and hasattr(walkers, "weight"):
+        walkers.require_settled("sketch_ensemble")
         sites = walkers.sites
         weight = np.asarray(walkers.weight, dtype=np.float64)
         ovlp = np.asarray(walkers.ovlp, dtype=np.float64)
@@ -151,6 +163,11 @@ def _ensemble_arrays(walkers):
     return sites, coeff
 
 
+def _advance_left(L, core, v):
+    """Left partial (n_walkers, r) through one more site: (n_walkers, r')."""
+    return (L @ core[:, 0, :]) * v[:, :1] + (L @ core[:, 1, :]) * v[:, 1:]
+
+
 def _left_partials(tt, sites, coeff):
     """Per-walker contractions of a sketch TT strictly left of every cut.
 
@@ -158,10 +175,8 @@ def _left_partials(tt, sites, coeff):
     folded into L[0].
     """
     L = [coeff.reshape(-1, 1)]
-    for m, core in enumerate(tt.cores):
-        L.append(
-            (L[m] @ core[:, 0, :]) * sites[m][:, :1] + (L[m] @ core[:, 1, :]) * sites[m][:, 1:]
-        )
+    for core, v in zip(tt.cores, sites):
+        L.append(_advance_left(L[-1], core, v))
     return L
 
 
@@ -192,37 +207,39 @@ def sketch_ensemble(walkers, pair, target_ranks):
         raise DimensionMismatchError(f"sketch pair has d={pair.d}, walkers d={d}")
     ranks = validate_target_ranks(target_ranks, d, pair.sketch_rank)
 
-    L = _left_partials(pair.left, sites, coeff)
+    # The left partial is streamed cut by cut alongside the first phase, so
+    # only the right partials are held: half the memory of holding both.
     R = _right_partials(pair.right, sites)
+    lm = coeff.reshape(-1, 1)
 
-    def y_matrix(m):
+    def y_matrix(lm, m):
         """Y at position m as a (rank_left, 2, rank_right) tensor."""
-        lm, rm = L[m], R[m + 1]
+        rm = R[m + 1]
         y0 = (lm * sites[m][:, :1]).T @ rm
         y1 = (lm * sites[m][:, 1:]).T @ rm
         return np.stack([y0, y1], axis=1)
 
-    cores = [y_matrix(0)]
-    xs = [None]  # xs[c] is the cross matrix at cut c, defined for c >= 1
+    cores = [y_matrix(lm, 0)]
+    # vs[c]: the leading right singular vectors of the cross matrix x at cut
+    # c, truncated to the target rank for the second phase
+    vs = [None]
     for m in range(1, d):
         s_prev = pair.left.cores[m - 1]
         g_prev = cores[m - 1]
         if m == 1:
             x = np.einsum("aix,aig->xg", s_prev, g_prev)
         else:
-            x = np.einsum("ab,aix,big->xg", xs[m - 1], s_prev, g_prev, optimize=True)
-        xs.append(x)
+            x = np.einsum("ab,aix,big->xg", x, s_prev, g_prev, optimize=True)
+        svd = _svd(x)
+        vs.append(svd[2][: ranks[m - 1]])
+        lm = _advance_left(lm, s_prev, sites[m - 1])
         try:
-            cores.append(least_squares_core(x, y_matrix(m), LS_CUTOFF))
+            cores.append(_svd_solve(svd, y_matrix(lm, m), LS_CUTOFF))
         except RankZeroError:
             raise RankZeroError(m) from None
 
-    # Second phase: truncated SVD of each cross matrix; contract the V
-    # factors into the neighboring cores.
-    vs = [None]
-    for c in range(1, d):
-        _, _, vt = np.linalg.svd(xs[c], full_matrices=False)
-        vs.append(vt[: ranks[c - 1]])
+    # Second phase: contract the truncated V factors into the neighboring
+    # cores.
     trimmed = []
     for m in range(d):
         g = cores[m]

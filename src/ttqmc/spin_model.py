@@ -168,6 +168,7 @@ class PropagatorSet:
     g: float
     dtau: float
     one_body_half: np.ndarray = field(repr=False)
+    one_body_full: np.ndarray = field(repr=False)
     lam: float
     bond_prefactor: float
 
@@ -180,6 +181,7 @@ class PropagatorSet:
             g=float(g),
             dtau=float(dtau),
             one_body_half=one_body_matrix(g, dtau),
+            one_body_full=one_body_matrix(g, 2.0 * dtau),
             lam=float(hs_lambda(dtau)) if dtau > 0 else 0.0,
             bond_prefactor=float(np.exp(-dtau)),
         )

@@ -165,16 +165,18 @@ def advance_right(R, wr, v):
     return h[0] + h[1]
 
 
-def product_overlaps(wls, sites):
-    """<tt, phi_k> for a batch of product states, by one left sweep.
+def product_overlaps(wrs, sites):
+    """<tt, phi_k> for a batch of product states, by one right-to-left sweep.
 
-    ``wls`` holds ``left_transfer`` of every core, ``sites`` the (n, 2)
-    site vectors per site.  Cost O(d r^2 n).
+    ``wrs`` holds ``right_transfer`` of every core, ``sites`` the (n, 2)
+    site vectors per site.  Cost O(d r^2 n).  The overlap cache of
+    ``walker_engine`` sweeps in the same direction, so stored and directly
+    computed overlaps share one contraction path.
     """
-    L = np.ones((1, sites[0].shape[0]))
-    for wl, v in zip(wls, sites):
-        L = advance_left(L, wl, v)
-    return L[0]
+    R = np.ones((1, sites[0].shape[0]))
+    for wr, v in zip(reversed(wrs), reversed(sites)):
+        R = advance_right(R, wr, v)
+    return R[0]
 
 
 def tt_product_overlap(tt, phi):
@@ -184,8 +186,8 @@ def tt_product_overlap(tt, phi):
     """
     if tt.d != phi.d:
         raise DimensionMismatchError(f"tt has d={tt.d}, product state has d={phi.d}")
-    wls = [left_transfer(c) for c in tt.cores]
-    return float(product_overlaps(wls, list(phi.sites[:, None, :]))[0])
+    wrs = [right_transfer(c) for c in tt.cores]
+    return float(product_overlaps(wrs, list(phi.sites[:, None, :]))[0])
 
 
 def tt_tt_overlap(a, b):
@@ -198,10 +200,6 @@ def tt_tt_overlap(a, b):
         tmp = np.tensordot(env, ca, axes=(0, 0))  # (q, i, P)
         env = np.tensordot(tmp, cb, axes=([0, 1], [0, 1]))  # (P, Q)
     return float(env[0, 0])
-
-
-def tt_norm(tt):
-    return float(np.sqrt(max(tt_tt_overlap(tt, tt), 0.0)))
 
 
 def tt_to_dense(tt, cap=DENSE_CAP):

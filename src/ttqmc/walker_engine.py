@@ -6,7 +6,7 @@ a half one-body propagator, then every lattice bond stochastically (one
 auxiliary field per bond, importance-sampled against the trial), then the
 second half one-body propagator:
 
-  * one-body:  phi <- B_half phi,  w <- w * O_tr(phi') / O_tr(phi);
+  * one-body:  phi <- B phi,  w <- w * O_tr(phi') / O_tr(phi);
   * per bond:  x sampled with probability proportional to O_tr(b(x) phi),
                w <- w * N  with  N = (O_tr(b(+1)phi) + O_tr(b(-1)phi))
                                      / (2 O_tr(phi)),
@@ -15,13 +15,25 @@ second half one-body propagator:
 A walker whose overlap becomes non-positive is killed (weight 0) and stays
 inert: never propagated, never counted.
 
+Between two steps that nothing observes, the trailing half of one step and
+the leading half of the next are one full propagator, B_half B_half =
+B_full.  ``step(settle=False)`` skips its trailing half and marks the
+ensemble ``pending_half``; the next step then applies B_full in one pass.
+The weight ratios telescope, so the only difference from two half passes
+is the constraint check on the state between them, which is skipped.
+Observers (``mixed_energy``, ``population_control``, ``reanchor_overlaps``,
+``sketch_ensemble``, ``Ensemble.walker(s)``) raise on a pending ensemble.
+Every one-body pass rescales the site vectors to unit norm; the
+represented ensemble sum_k w_k phi_k / O_tr(phi_k) is invariant under that.
+
 The ensemble is stored struct-of-arrays (one (n_walkers, 2) array per chain
 position) so every update is vectorized over walkers.  Every TT trial
 overlap goes through the walker-last kernel of ``tensor_train``: partial
 contractions are (rank, n_walkers) arrays, and a site step is one GEMM with
 the core's stacked transfer matrix followed by the two physical halves
-(C_i^T L) * v[:, i].  ``TrialHandle.overlap`` runs the same left sweep on a
-batch of one, so stored and directly computed overlaps share one path.
+(C_i^T L) * v[:, i].  Overlaps are contracted right to left, in the cache
+and in ``TrialHandle.overlap`` (the same sweep on a batch of one), so
+stored and directly computed overlaps share one path.
 
 A bond at chain positions (p, q) yields both field overlaps from one pass:
 the sum and the difference of the site-p halves (the difference is sigma^z
@@ -29,16 +41,16 @@ at p, carried across the inner sites; the sum carried to q is left[q]) are
 dotted with the two site-q halves, and the diagonal field factors combine
 the four dots.  Once a field is chosen the site-p halves give the new
 left[p+1], which the cache stores.  Bonds run in ``Lattice.chain_bonds``
-order, by right end q and shorter first for equal q, so each
-nearest-neighbour bond finds its left environment already advanced, the
-right environment is built once per step, and a periodic wrap bond runs
-last.
+order, by right end q and shorter first for equal q.  The overlap sweep of
+the one-body pass leaves every right environment valid, a bond never
+invalidates one that a later bond reads, and each nearest-neighbour bond
+finds its left environment already advanced, so the bond pass rebuilds no
+environment; a periodic wrap bond runs last.
 
 Randomness comes from counter-based Philox streams keyed by (seed,
-purpose, step, bond), so trajectories are reproducible for a fixed seed
-regardless of thread count.  Walker site vectors are renormalized to unit
-norm at the end of every step; the represented ensemble
-sum_k w_k phi_k / O_tr(phi_k) is invariant under that rescaling.
+purpose, step): one draw per step gives the uniforms of every bond and
+walker, so trajectories are reproducible for a fixed seed regardless of
+thread count.
 """
 
 from __future__ import annotations
@@ -47,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DeadEnsembleError, DimensionMismatchError
+from .errors import DeadEnsembleError, DimensionMismatchError, PendingHalfStepError
 from .tensor_train import (
     ProductState,
     TensorTrain,
@@ -63,6 +75,8 @@ from .tensor_train import (
 
 _PURPOSE_BOND = 1
 _PURPOSE_POP = 2
+
+_PAIR_SUM = np.ones(2)  # (n, 2) @ _PAIR_SUM sums each row, as one GEMV
 
 
 def stream(seed, purpose, step=0, index=0):
@@ -124,12 +138,13 @@ class TrialHandle:
     def overlap(self, phi):
         """<psi_tr, phi> by direct contraction (no cache).
 
-        A TT trial uses the ensemble cache's left sweep on a batch of one.
+        A TT trial uses the ensemble cache's right-to-left sweep on a batch
+        of one.
         """
         if phi.d != self.d:
             raise DimensionMismatchError(f"trial d={self.d}, state d={phi.d}")
         if self.kind == "tt":
-            return float(product_overlaps(self.wl, list(phi.sites[:, None, :]))[0])
+            return float(product_overlaps(self.wr, list(phi.sites[:, None, :]))[0])
         return float(self.dense_vec @ phi.to_dense())
 
     def to_dense(self, cap=20):
@@ -183,8 +198,9 @@ class _TTCache:
         self.rv = self.handle.d
 
     def overlaps(self):
-        self.ensure_left(self.handle.d)
-        return self.left[self.handle.d][0].copy()
+        """<psi, phi_k> from right[0]: the sweep of ``product_overlaps``."""
+        self.ensure_right(0)
+        return self.right[0][0].copy()
 
     def _bond_dots(self, p, q):
         """Sum and difference contractions of a bond, dotted with site q.
@@ -316,6 +332,8 @@ class Ensemble:
     ``sites[m]`` is the (n_walkers, 2) array of site-m vectors, ``weight``
     and ``ovlp`` the per-walker weight and cached trial overlap.  ``step``
     counts completed imaginary-time steps; ``seed`` keys the random streams.
+    ``pending_half`` is set while the last step's trailing half one-body
+    propagator is still owed (see ``step``); observers refuse that state.
     """
 
     def __init__(self, sites, weight, ovlp, seed, step=0):
@@ -325,6 +343,7 @@ class Ensemble:
         self.seed = int(seed)
         self.step = int(step)
         self.reanchor_kill_counts = []
+        self.pending_half = False
         self._cache = None
         self._trial = None
 
@@ -366,7 +385,13 @@ class Ensemble:
     def alive(self):
         return self.weight > 0.0
 
+    def require_settled(self, observer):
+        """Raise PendingHalfStepError if a half one-body step is still owed."""
+        if self.pending_half:
+            raise PendingHalfStepError(observer, self.step)
+
     def walker(self, k):
+        self.require_settled("Ensemble.walker")
         state = ProductState(np.stack([self.sites[m][k] for m in range(self.d)]))
         return Walker(state=state, weight=float(self.weight[k]), overlap=float(self.ovlp[k]))
 
@@ -387,19 +412,19 @@ def _write_masked(arr, mask, all_true, values):
     return np.where(mask if values.ndim == 1 else mask[:, None], values, arr)
 
 
-def _one_body_half(ens, cache, prop, alive, all_alive, normalize):
-    """phi <- B_half phi for alive walkers; weight by the overlap ratio.
+def _one_body_pass(ens, cache, B, alive, all_alive, normalize=True):
+    """phi <- B phi for alive walkers; weight by the overlap ratio.
 
-    With ``normalize`` the site vectors are rescaled to unit norm afterwards
-    and the cached overlap refreshed from a full canonical sweep, so stored
-    overlaps always come from the same contraction path.
+    ``B`` is the half or the full one-body propagator.  With ``normalize``
+    the site vectors are rescaled to unit norm and the norms folded into the
+    weight.  The fresh overlaps come from the cache's right-to-left sweep,
+    which leaves every right environment valid for the bond pass.
     """
-    B = prop.one_body_half
     scale = np.ones(ens.n_walkers)
     for m in range(ens.d):
         new = ens.sites[m] @ B
         if normalize:
-            norms = np.sqrt(np.einsum("ij,ij->i", new, new))
+            norms = np.sqrt(np.square(new) @ _PAIR_SUM)
             scale *= norms
             new = new / norms[:, None]
         ens.sites[m] = _write_masked(ens.sites[m], alive, all_alive, new)
@@ -461,7 +486,7 @@ def apply_one_body(walker, trial, propagators):
     ens = Ensemble.from_walkers([walker])
     cache = ens.attach(trial)
     alive = ens.alive
-    _one_body_half(ens, cache, propagators, alive, True, normalize=False)
+    _one_body_pass(ens, cache, propagators.one_body_half, alive, True, normalize=False)
     return ens.walker(0)
 
 
@@ -478,8 +503,14 @@ def sample_bond(walker, bond, trial, propagators, rng):
     return ens.walker(0)
 
 
-def step(ensemble, trial, lattice, propagators):
-    """Advance every positive-weight walker one full imaginary-time step."""
+def step(ensemble, trial, lattice, propagators, settle=True):
+    """Advance every positive-weight walker one imaginary-time step.
+
+    With ``settle=False`` the trailing half one-body propagator is owed
+    (``ensemble.pending_half``): the next step opens with one full one-body
+    propagator in place of the two halves.  Observers refuse a pending
+    ensemble, so the last step before one must settle.
+    """
     alive = ensemble.alive
     if not alive.any():
         raise DeadEnsembleError(
@@ -489,50 +520,28 @@ def step(ensemble, trial, lattice, propagators):
     cache = ensemble.attach(trial)
     fac_p, fac_q = _bond_factors(propagators)
 
-    _one_body_half(ensemble, cache, propagators, alive, all_alive, normalize=False)
+    lead = propagators.one_body_full if ensemble.pending_half else propagators.one_body_half
+    _one_body_pass(ensemble, cache, lead, alive, all_alive)
+    ensemble.pending_half = False
     alive = ensemble.alive
     all_alive = bool(alive.all())
 
-    for b_idx, (p, q) in enumerate(lattice.chain_bonds):
-        gen = stream(ensemble.seed, _PURPOSE_BOND, ensemble.step, b_idx)
-        uniforms = gen.random(ensemble.n_walkers)
-        alive = _sample_bond_kernel(
-            ensemble, cache, p, q, fac_p, fac_q, uniforms, alive, all_alive
-        )
+    bonds = lattice.chain_bonds
+    uniforms = stream(ensemble.seed, _PURPOSE_BOND, ensemble.step).random(
+        (len(bonds), ensemble.n_walkers)
+    )
+    for (p, q), u in zip(bonds, uniforms):
+        alive = _sample_bond_kernel(ensemble, cache, p, q, fac_p, fac_q, u, alive, all_alive)
         all_alive = bool(alive.all())
 
-    _one_body_half(ensemble, cache, propagators, alive, all_alive, normalize=True)
+    if settle:
+        _one_body_pass(ensemble, cache, propagators.one_body_half, alive, all_alive)
+    else:
+        ensemble.pending_half = True
 
     ensemble.step += 1
     if not ensemble.alive.any():
         raise DeadEnsembleError("all walkers died during step", {"step": ensemble.step})
-    return ensemble
-
-
-def population_control(ensemble, rng):
-    """Comb resampling: restores unit weights, preserves the population size.
-
-    Weights are first normalized to mean 1; a single uniform offset then
-    places a comb over the cumulative weights, so walker k receives a number
-    of copies whose expectation is its normalized weight.
-    """
-    w = ensemble.weight
-    n = w.shape[0]
-    total = float(w.sum())
-    if total <= 0.0:
-        raise DeadEnsembleError("population control with no positive weight")
-    wn = w * (n / total)
-    offset = float(rng.random())
-    marks = np.ceil(offset + np.cumsum(wn)).astype(np.int64)
-    marks[-1] = n + 1
-    copies = np.diff(np.concatenate(([1], marks)))
-    src = np.repeat(np.arange(n), copies)
-    for m in range(ensemble.d):
-        ensemble.sites[m] = ensemble.sites[m][src]
-    ensemble.ovlp = ensemble.ovlp[src]
-    ensemble.weight = np.ones(n)
-    if ensemble._cache is not None:
-        ensemble._cache.gather(src)
     return ensemble
 
 
@@ -544,8 +553,33 @@ def comb_copy_counts(weights, offset):
     return np.diff(np.concatenate(([1], marks)))
 
 
+def population_control(ensemble, rng):
+    """Comb resampling: restores unit weights, preserves the population size.
+
+    Weights are first normalized to mean 1; a single uniform offset then
+    places a comb over the cumulative weights, so walker k receives a number
+    of copies whose expectation is its normalized weight.
+    """
+    ensemble.require_settled("population_control")
+    w = ensemble.weight
+    n = w.shape[0]
+    total = float(w.sum())
+    if total <= 0.0:
+        raise DeadEnsembleError("population control with no positive weight")
+    copies = comb_copy_counts(w * (n / total), float(rng.random()))
+    src = np.repeat(np.arange(n), copies)
+    for m in range(ensemble.d):
+        ensemble.sites[m] = ensemble.sites[m][src]
+    ensemble.ovlp = ensemble.ovlp[src]
+    ensemble.weight = np.ones(n)
+    if ensemble._cache is not None:
+        ensemble._cache.gather(src)
+    return ensemble
+
+
 def reanchor_overlaps(ensemble, new_trial):
     """Swap the trial: recompute cached overlaps, kill non-positive ones."""
+    ensemble.require_settled("reanchor_overlaps")
     alive = ensemble.alive
     cache = ensemble.attach(new_trial)
     fresh = np.maximum(cache.overlaps(), 0.0)

@@ -274,6 +274,31 @@ class TestRun:
         trace, _, _ = run(cfg, initial_trial=TrialHandle.from_dense(sol.ground_state))
         np.testing.assert_allclose(trace.energy, sol.energy, atol=1e-9)
 
+    def test_settles_on_measure_comb_sketch_and_last_steps(self, monkeypatch):
+        from ttqmc import qmc_driver
+
+        cfg = quick_config(
+            total_steps=13,
+            measure_every=4,
+            popcontrol_every=6,
+            sketch_every=5,
+            sketch_stop_step=10,
+            equilibration_steps=0,
+        )
+        settled = []
+        real_step = qmc_driver.step
+
+        def recording(ensemble, *args, settle=True):
+            real_step(ensemble, *args, settle=settle)
+            if settle:
+                settled.append(ensemble.step)
+
+        monkeypatch.setattr(qmc_driver, "step", recording)
+        _, _, ens = run(cfg)
+        # measures 4, 8, 12; combs 6, 12; sketches 5, 10; last step 13
+        assert settled == [4, 5, 6, 8, 10, 12, 13]
+        assert ens.step == 13 and not ens.pending_half
+
     def test_wall_times_recorded(self):
         trace, _, _ = run(quick_config())
         for phase in ("propagate", "measure", "popcontrol", "sketch"):

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from ttqmc import walker_engine
-from ttqmc.errors import DeadEnsembleError
+from ttqmc.errors import DeadEnsembleError, PendingHalfStepError
 from ttqmc.oracle import exact_ground
 from ttqmc.qmc_driver import default_trial, mixed_energy
+from ttqmc.sketching import make_sketch_pair, sketch_ensemble
 from ttqmc.spin_model import PropagatorSet, build_lattice, hs_lambda
 from ttqmc.tensor_train import ProductState, TensorTrain, advance_left, tt_to_dense
 from ttqmc.walker_engine import (
@@ -245,6 +246,78 @@ class TestStep:
             assert np.all(ens.ovlp[alive] > 0.0)
 
 
+class TestFusedHalves:
+    @staticmethod
+    def _run(settles):
+        # a positive rank-2 trial keeps every walker alive, so the dropped
+        # constraint check between fused halves never matters here
+        d = 6
+        lat = build_lattice("chain", (d,), "periodic")
+        tt = random_tt(np.random.default_rng(7), d, 2)
+        trial = TrialHandle.from_tt(TensorTrain([np.abs(c) + 0.1 for c in tt.cores]))
+        ens = Ensemble.from_trial_product(uniform_trial(d), 25, seed=13)
+        reanchor_overlaps(ens, trial)
+        prop = PropagatorSet.build(1.0, 0.05)
+        for settle in settles:
+            step(ens, trial, lat, prop, settle=settle)
+        return ens
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_fused_steps_match_settled_steps(self, k):
+        fused = self._run([False] * k + [True])
+        split = self._run([True] * (k + 1))
+        assert not fused.pending_half and fused.step == split.step == k + 1
+        assert np.all(fused.weight > 0) and np.all(split.weight > 0)
+        (unit_a, scale_a), (unit_b, scale_b) = map(_unit_sites, (fused, split))
+        # the same fields were sampled: equal site vectors up to a per-walker scale
+        for a, b in zip(unit_a, unit_b):
+            np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
+        # and the same represented ensemble sum_k w_k phi_k / O_tr(phi_k)
+        np.testing.assert_allclose(
+            fused.weight / fused.ovlp * scale_a,
+            split.weight / split.ovlp * scale_b,
+            rtol=1e-10,
+        )
+
+    def test_pending_half_is_set_and_cleared(self):
+        ens = self._run([False])
+        assert ens.pending_half
+        ens = self._run([False, True])
+        assert not ens.pending_half
+
+    @pytest.mark.parametrize(
+        "observe",
+        [
+            lambda ens, trial, lat: mixed_energy(ens, trial, lat, 1.0),
+            lambda ens, trial, lat: population_control(ens, np.random.default_rng(0)),
+            lambda ens, trial, lat: reanchor_overlaps(ens, trial),
+            lambda ens, trial, lat: sketch_ensemble(
+                ens, make_sketch_pair(ens.d, 4, 0.1, seed=0), [2, 2, 2, 2, 2]
+            ),
+            lambda ens, trial, lat: ens.walker(0),
+            lambda ens, trial, lat: ens.walkers(),
+        ],
+        ids=["mixed_energy", "population_control", "reanchor_overlaps",
+             "sketch_ensemble", "walker", "walkers"],
+    )
+    def test_observers_refuse_pending_ensemble(self, observe):
+        d = 6
+        lat = build_lattice("chain", (d,), "periodic")
+        trial = uniform_trial(d)
+        ens = Ensemble.from_trial_product(trial, 10, seed=3)
+        step(ens, trial, lat, PropagatorSet.build(1.0, 0.05), settle=False)
+        weight = ens.weight.copy()
+        with pytest.raises(PendingHalfStepError):
+            observe(ens, trial, lat)
+        np.testing.assert_array_equal(ens.weight, weight)
+
+
+def _unit_sites(ens):
+    """Unit-norm site vectors and the per-walker product of the site norms."""
+    norms = [np.linalg.norm(s, axis=1) for s in ens.sites]
+    return [s / n[:, None] for s, n in zip(ens.sites, norms)], np.prod(norms, axis=0)
+
+
 class TestPopulationControl:
     def test_comb_hand_trace_offset_03(self):
         np.testing.assert_array_equal(comb_copy_counts([1.5, 0.5], 0.3), [1, 1])
@@ -437,9 +510,10 @@ class TestTTKernel:
             np.testing.assert_allclose(stored, cache.overlaps(), rtol=1e-12)
 
     def test_step_rebuilds_right_partials_once(self, rng, monkeypatch):
-        # bonds run by right end with the wrap bond last, so one step
-        # builds the right environment once (d - 2 sites after the one-body
-        # half) instead of again after an early wrap bond
+        # bonds run by right end with the wrap bond last, so a step with one
+        # one-body pass builds the right environment once (the d sites of
+        # the pass's overlap sweep) instead of again after an early wrap
+        # bond; a settled step makes a second pass and so a second sweep
         d = 16
         lat = build_lattice("chain", (d,), "periodic")
         tt = random_tt(rng, d, 2)
@@ -457,5 +531,41 @@ class TestTTKernel:
         monkeypatch.setattr(walker_engine._TTCache, "ensure_right", counting)
         step(ens, trial, lat, prop)
         rebuilt.clear()
-        step(ens, trial, lat, prop)
+        step(ens, trial, lat, prop, settle=False)
         assert 0 < sum(rebuilt) <= d + 2
+
+    @pytest.mark.parametrize("settle", [False, True])
+    def test_bond_pass_rebuilds_no_right_partials(self, rng, monkeypatch, settle):
+        # the one-body pass's right-to-left overlap sweep leaves every right
+        # environment valid, and bonds ordered by right end never invalidate
+        # one that a later bond reads
+        d = 16
+        lat = build_lattice("chain", (d,), "periodic")
+        tt = random_tt(rng, d, 2)
+        trial = TrialHandle.from_tt(TensorTrain([np.abs(c) for c in tt.cores]))
+        ens = Ensemble.from_trial_product(uniform_trial(d), 20, seed=2)
+        reanchor_overlaps(ens, trial)
+        prop = PropagatorSet.build(1.0, 0.01)
+        rebuilt = []
+        in_bond = [False]
+        ensure_right = walker_engine._TTCache.ensure_right
+        kernel = walker_engine._sample_bond_kernel
+
+        def counting(cache, m):
+            if in_bond[0]:
+                rebuilt.append(max(cache.rv - m, 0))
+            ensure_right(cache, m)
+
+        def bond_kernel(*args):
+            in_bond[0] = True
+            try:
+                return kernel(*args)
+            finally:
+                in_bond[0] = False
+
+        monkeypatch.setattr(walker_engine._TTCache, "ensure_right", counting)
+        monkeypatch.setattr(walker_engine, "_sample_bond_kernel", bond_kernel)
+        for _ in range(3):
+            step(ens, trial, lat, prop, settle=settle)
+        assert len(rebuilt) == 3 * len(lat.chain_bonds)
+        assert sum(rebuilt) == 0
