@@ -64,3 +64,14 @@ class PendingHalfStepError(TtqmcError):
         )
         self.observer = observer
         self.step = step
+
+
+class SketchFitError(TtqmcError):
+    """The ensemble-to-TT fit met a non-finite input or a failed SVD.
+
+    ``cut`` names the cross matrix's cut, or is None for a bad walker.
+    """
+
+    def __init__(self, message, cut=None):
+        super().__init__(message)
+        self.cut = cut

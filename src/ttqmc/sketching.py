@@ -1,20 +1,38 @@
-"""Random cluster-basis sketches and the two-phase walker-ensemble TT fit.
+"""Random cluster-basis sketches and the one-sweep walker-ensemble TT fit.
 
-The ensemble sum Psi-hat = sum_k w_k phi_k / O_tr(phi_k) is fitted into a
-low-rank TT by contracting it against a left sketch TT ``S`` and a right
-sketch TT ``T`` whose cores live in the span of the per-site cluster basis
+The ensemble sum Psi-hat = sum_k c_k phi_k, c_k = w_k / O_tr(phi_k), is
+fitted into a low-rank TT by contracting it against a left sketch TT ``S``
+and a right sketch TT ``T`` whose cores live in the span of the per-site
+cluster basis
 
     v_1 = (1, 1)^T,    v_2 = (delta, -delta)^T,
 
 with i.i.d. standard-normal coefficient tensors.  Because every walker is
-separable, the sketched environments reduce to per-walker left/right
-partial products, so nothing of size 2^d is ever materialized.
+separable, the sketched environments reduce to per-walker partial
+products: L_c (n_walkers, s) contracts the walkers' sites < c with S, with
+c_k folded in, and R_c their sites >= c with T.  Nothing of size 2^d is
+ever materialized.
 
-First phase: cores are solved cut by cut from cross matrices X formed
-sequentially out of the already-solved cores.  Second phase: each X is
-truncated to the target rank through the SVD its first-phase solve already
-took, and the right-singular-vector factors are contracted into the
-neighboring cores.
+The fit is one left-to-right sweep that yields the target-rank cores
+directly (the TT sketch of Hur, Hoskins, Lindsey, Stoudenmire & Khoo,
+2023).  At cut c the cross matrix X_c = L_c^T R_c has the thin SVD
+U Sigma V^T.  With r_c the target rank, two (n_walkers, r_c) projections
+are kept: A_c = L_c U_r Sigma_r^-1, where directions with sigma below
+LS_CUTOFF * sigma_max get zero rather than an inverse, and
+B_c = R_c V_r^T.  Core m is
+
+    G_m[a, i, b] = sum_k A_m[k, a] v_m[k, i] B_{m+1}[k, b],
+
+with A_0 = c and B_d = 1.  In exact arithmetic this is the
+solve-then-truncate fit: G_m = X_m^+ Y_m from the sketched data Y_m, with
+the leading right singular vectors of X_m and X_{m+1} contracted in.
+
+The right partials are built first into one buffer; the left partial
+streams through one buffer, advanced in place.  A site step is one GEMM
+with the core's stacked transfer matrix into a scratch buffer and one
+``einsum`` that weights and sums the two physical halves into the output.  The two walker-reducing products, X_c and the core contraction,
+are summed over fixed blocks of walkers in a fixed order, so the fitted
+cores do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -23,13 +41,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, RankZeroError
-from .tensor_train import TensorTrain
+from .errors import DimensionMismatchError, RankZeroError, SketchFitError
+from .tensor_train import TensorTrain, right_transfer
 
 # Relative singular-value cutoff for the per-core least-squares solves.
 LS_CUTOFF = 1e-12
 
 _PURPOSE_SKETCH = 3
+
+# Walkers per block of the walker-reducing products.  A BLAS splits one long
+# reduction differently at different thread counts; summing fixed blocks in
+# a fixed order keeps the fitted cores' bits the same.
+_WALKER_BLOCK = 250
 
 
 @dataclass(frozen=True)
@@ -90,20 +113,10 @@ def least_squares_core(X, Y, cutoff):
     treated as exact zeros (null space).  Raises RankZeroError if nothing
     survives the threshold.
     """
-    return _svd_solve(_svd(X), Y, cutoff)
-
-
-def _svd(X):
-    """Thin SVD (U, s, Vt) of a square or tall X."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < X.shape[1]:
         raise ValueError(f"X must be square or tall, got shape {X.shape}")
-    return np.linalg.svd(X, full_matrices=False)
-
-
-def _svd_solve(svd, Y, cutoff):
-    """``least_squares_core`` with the SVD of X already taken."""
-    U, s, Vt = svd
+    U, s, Vt = np.linalg.svd(X, full_matrices=False)
     Y = np.asarray(Y, dtype=np.float64)
     if s.size == 0 or s[0] <= 0.0 or not np.isfinite(s[0]):
         raise RankZeroError(None)
@@ -137,7 +150,10 @@ def validate_target_ranks(target_ranks, d, sketch_rank):
 
 
 def _ensemble_arrays(walkers):
-    """Site arrays and coefficients c_k = w_k / O_tr(phi_k), zero weights dropped."""
+    """Site arrays and coefficients c_k = w_k / O_tr(phi_k), zero weights dropped.
+
+    A non-finite weight or coefficient raises SketchFitError naming the walker.
+    """
     if hasattr(walkers, "sites") and hasattr(walkers, "weight"):
         walkers.require_settled("sketch_ensemble")
         sites = walkers.sites
@@ -151,6 +167,7 @@ def _ensemble_arrays(walkers):
         sites = [np.stack([w.state.sites[m] for w in walkers]) for m in range(d)]
         weight = np.array([w.weight for w in walkers])
         ovlp = np.array([w.overlap for w in walkers])
+    _require_finite(weight, "weight w_k")
     if np.any(weight < 0.0):
         raise ValueError("negative walker weight")
     keep = weight > 0.0
@@ -158,39 +175,78 @@ def _ensemble_arrays(walkers):
         raise ValueError("no walker with positive weight")
     if np.any(ovlp[keep] <= 0.0):
         raise ValueError("positive-weight walker with non-positive overlap")
-    sites = [s[keep] for s in sites]
-    coeff = weight[keep] / ovlp[keep]
-    return sites, coeff
+    coeff = weight / np.where(keep, ovlp, 1.0)
+    _require_finite(coeff, "coefficient w_k/O_k")
+    return [s[keep] for s in sites], coeff[keep]
 
 
-def _advance_left(L, core, v):
-    """Left partial (n_walkers, r) through one more site: (n_walkers, r')."""
-    return (L @ core[:, 0, :]) * v[:, :1] + (L @ core[:, 1, :]) * v[:, 1:]
+def _require_finite(values, name):
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise SketchFitError(f"non-finite walker {name} at walker {bad[0]}: {values[bad[0]]!r}")
 
 
-def _left_partials(tt, sites, coeff):
-    """Per-walker contractions of a sketch TT strictly left of every cut.
+def _site_step(P, W, v, out, scratch):
+    """out[k, b] = sum_i v[k, i] (P @ W)[k, i, b], W the stacked (r, 2 r') transfer.
 
-    Returns ``L`` with L[c] shaped (n_walkers, rank at cut c); ``coeff`` is
-    folded into L[0].
+    ``scratch`` is a flat buffer of at least 2 * out.size elements.  ``out``
+    may be ``P``: only the GEMM into the scratch reads P.
     """
-    L = [coeff.reshape(-1, 1)]
-    for core, v in zip(tt.cores, sites):
-        L.append(_advance_left(L[-1], core, v))
-    return L
+    n, w = out.shape
+    halves = scratch[: 2 * n * w].reshape(n, 2 * w)
+    np.matmul(P, W, out=halves)
+    return np.einsum("kib,ki->kb", halves.reshape(n, 2, w), v, out=out)
+
+
+def _advance_left(L, core, v, out, scratch):
+    """Left partial (n_walkers, r) through one more site, into ``out`` (n_walkers, r')."""
+    return _site_step(L, core.reshape(core.shape[0], -1), v, out, scratch)
 
 
 def _right_partials(tt, sites):
-    """Per-walker contractions strictly right of every cut: R[c] (n_walkers, rank)."""
+    """Per-walker contractions strictly right of every cut: R[c] (n_walkers, rank).
+
+    The partials are views into one (d + 1, n_walkers, max rank) buffer.
+    """
     d = len(sites)
-    R = [None] * (d + 1)
-    R[d] = np.ones((sites[0].shape[0], 1))
+    n = sites[0].shape[0]
+    widths = (1,) + tt.ranks + (1,)
+    buf = np.empty((d + 1, n, max(widths)))
+    scratch = np.empty(2 * n * max(widths))
+    R = [buf[c, :, :w] for c, w in enumerate(widths)]
+    R[d][...] = 1.0
     for m in range(d - 1, -1, -1):
-        core = tt.cores[m]
-        R[m] = (R[m + 1] @ core[:, 0, :].T) * sites[m][:, :1] + (
-            R[m + 1] @ core[:, 1, :].T
-        ) * sites[m][:, 1:]
+        _site_step(R[m + 1], right_transfer(tt.cores[m]).T, sites[m], R[m], scratch)
     return R
+
+
+def _walker_sum(a, b):
+    """a^T b over the walker axis, summed block by block in a fixed order."""
+    out = a[:_WALKER_BLOCK].T @ b[:_WALKER_BLOCK]
+    for k in range(_WALKER_BLOCK, a.shape[0], _WALKER_BLOCK):
+        out += a[k : k + _WALKER_BLOCK].T @ b[k : k + _WALKER_BLOCK]
+    return out
+
+
+def _core(a, v, b):
+    """The fitted core G[x, i, y] = sum_k a[k, x] v[k, i] b[k, y]."""
+    ra = a.shape[1]
+    av = (a[:, :, None] * v[:, None, :]).reshape(-1, 2 * ra)
+    return _walker_sum(av, b).reshape(ra, 2, b.shape[1])
+
+
+def _cross_svd(X, cut):
+    """Thin SVD of the cross matrix at ``cut``, with its failures named."""
+    if not np.isfinite(X).all():
+        raise SketchFitError(f"non-finite cross matrix at cut {cut}", cut=cut)
+    try:
+        U, sig, Vt = np.linalg.svd(X)
+    except np.linalg.LinAlgError as exc:
+        msg = f"SVD of the cross matrix at cut {cut} failed: {exc}"
+        raise SketchFitError(msg, cut=cut) from None
+    if sig[0] <= 0.0:
+        raise RankZeroError(cut)
+    return U, sig, Vt
 
 
 def sketch_ensemble(walkers, pair, target_ranks):
@@ -207,54 +263,28 @@ def sketch_ensemble(walkers, pair, target_ranks):
         raise DimensionMismatchError(f"sketch pair has d={pair.d}, walkers d={d}")
     ranks = validate_target_ranks(target_ranks, d, pair.sketch_rank)
 
-    # The left partial is streamed cut by cut alongside the first phase, so
-    # only the right partials are held: half the memory of holding both.
     R = _right_partials(pair.right, sites)
-    lm = coeff.reshape(-1, 1)
-
-    def y_matrix(lm, m):
-        """Y at position m as a (rank_left, 2, rank_right) tensor."""
-        rm = R[m + 1]
-        y0 = (lm * sites[m][:, :1]).T @ rm
-        y1 = (lm * sites[m][:, 1:]).T @ rm
-        return np.stack([y0, y1], axis=1)
-
-    cores = [y_matrix(lm, 0)]
-    # vs[c]: the leading right singular vectors of the cross matrix x at cut
-    # c, truncated to the target rank for the second phase
-    vs = [None]
-    for m in range(1, d):
-        s_prev = pair.left.cores[m - 1]
-        g_prev = cores[m - 1]
-        if m == 1:
-            x = np.einsum("aix,aig->xg", s_prev, g_prev)
-        else:
-            x = np.einsum("ab,aix,big->xg", x, s_prev, g_prev, optimize=True)
-        svd = _svd(x)
-        vs.append(svd[2][: ranks[m - 1]])
-        lm = _advance_left(lm, s_prev, sites[m - 1])
-        try:
-            cores.append(_svd_solve(svd, y_matrix(lm, m), LS_CUTOFF))
-        except RankZeroError:
-            raise RankZeroError(m) from None
-
-    # Second phase: contract the truncated V factors into the neighboring
-    # cores.
-    trimmed = []
-    for m in range(d):
-        g = cores[m]
-        if m > 0:
-            g = np.einsum("ag,gib->aib", vs[m], g)
-        if m < d - 1:
-            g = np.einsum("aig,bg->aib", g, vs[m + 1])
-        trimmed.append(g)
+    # the left partial streams through one buffer, advanced in place
+    left = np.empty((coeff.shape[0], pair.sketch_rank))
+    scratch = np.empty(2 * left.size)
+    L = A = coeff.reshape(-1, 1)
+    cores = []
+    for c in range(1, d):
+        L = _advance_left(L, pair.left.cores[c - 1], sites[c - 1], left, scratch)
+        U, sig, Vt = _cross_svd(_walker_sum(L, R[c]), c)
+        r = ranks[c - 1]
+        keep = sig[:r] > LS_CUTOFF * sig[0]
+        inv = np.divide(1.0, sig[:r], out=np.zeros(r), where=keep)
+        cores.append(_core(A, sites[c - 1], R[c] @ Vt[:r].T))
+        A = L @ (U[:, :r] * inv)
+    cores.append(_core(A, sites[d - 1], R[d]))
 
     # Rescale: unit max-entry cores, global scale folded into the first.
     scale = 1.0
     for m in range(d - 1, 0, -1):
-        s = np.max(np.abs(trimmed[m]))
+        s = np.max(np.abs(cores[m]))
         if s > 0.0:
-            trimmed[m] = trimmed[m] / s
+            cores[m] = cores[m] / s
             scale *= s
-    trimmed[0] = trimmed[0] * scale
-    return TensorTrain(trimmed)
+    cores[0] = cores[0] * scale
+    return TensorTrain(cores)

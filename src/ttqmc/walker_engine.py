@@ -49,8 +49,12 @@ environment; a periodic wrap bond runs last.
 
 Randomness comes from counter-based Philox streams keyed by (seed,
 purpose, step): one draw per step gives the uniforms of every bond and
-walker, so trajectories are reproducible for a fixed seed regardless of
-thread count.
+walker, so trajectories are reproducible for a fixed seed.  Across BLAS
+thread counts the tests check two cases, each at 1 and at 2 OpenBLAS
+threads: one ``sketch_ensemble`` of 2000 walkers at d=32 gives the same
+core bytes, and one ``ttqmc run`` (d=16 periodic chain, 2000 walkers, 20
+steps, re-anchored at steps 10 and 20) writes the same ``trace.csv`` and
+``trial.tt`` bytes.
 """
 
 from __future__ import annotations
@@ -255,12 +259,6 @@ class _TTCache:
         _, e = self._bond_dots(p, q)
         return e[1, 0] - e[1, 1]
 
-    def gather(self, src):
-        for m in range(self.lv + 1):
-            self.left[m] = np.take(self.left[m], src, axis=1)
-        for m in range(self.rv, self.handle.d + 1):
-            self.right[m] = np.take(self.right[m], src, axis=1)
-
 
 class _DenseCache:
     """Kronecker-expansion overlap machinery for a dense-vector trial."""
@@ -314,10 +312,6 @@ class _DenseCache:
     def zz_overlaps(self, p, q):
         sgn = (1.0 - 2.0 * self.bits[p]) * (1.0 - 2.0 * self.bits[q])
         return self.vec @ (self.psi * sgn)
-
-    def gather(self, src):
-        if self.vec is not None:
-            self.vec = self.vec[src]
 
 
 def _make_cache(handle, sites):
@@ -573,7 +567,8 @@ def population_control(ensemble, rng):
     ensemble.ovlp = ensemble.ovlp[src]
     ensemble.weight = np.ones(n)
     if ensemble._cache is not None:
-        ensemble._cache.gather(src)
+        # the stored partials belong to the walkers before the comb
+        ensemble._cache.note_all_changed()
     return ensemble
 
 

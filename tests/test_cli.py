@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -151,8 +153,38 @@ class TestCmdRun:
         assert f"config field '{field}'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_sketch_svd_failure_exit_3_names_cut(self, tmp_path, capsys, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        cfg_path = write_config(tmp_path)
+        assert cli.main(["run", "--config", cfg_path, "--out-dir", str(tmp_path / "out")]) == 3
+        assert "cross matrix at cut 1 failed: SVD did not converge" in capsys.readouterr().err
+
     def test_missing_config_exit_2(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "nope.json")]) == 2
+
+    def test_outputs_independent_of_blas_threads(self, tmp_path):
+        # 2000 walkers make the BLAS split its products across threads
+        cfg_path = write_config(
+            tmp_path, lattice_dims=[16], n_walkers=2000, total_steps=20,
+            sketch_every=10, sketch_stop_step=20, equilibration_steps=10, sketch_rank=60,
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"out{threads}"
+            env = dict(os.environ, PYTHONPATH=src)
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+                env[var] = threads
+            argv = ["run", "--config", cfg_path, "--out-dir", str(out)]
+            subprocess.run(
+                [sys.executable, "-m", "ttqmc.cli", *argv],
+                env=env, capture_output=True, check=True, timeout=300,
+            )
+            outputs.append([(out / name).read_bytes() for name in ("trace.csv", "trial.tt")])
+        assert outputs[0] == outputs[1]
 
     def test_seed_flag_overrides_file(self, tmp_path):
         cfg_path = write_config(tmp_path, seed=1)

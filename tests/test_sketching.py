@@ -1,17 +1,30 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from ttqmc.errors import DimensionMismatchError, RankZeroError
+from ttqmc.errors import DimensionMismatchError, RankZeroError, SketchFitError
 from ttqmc.sketching import (
-    _left_partials,
+    LS_CUTOFF,
+    _advance_left,
     _right_partials,
     least_squares_core,
     make_sketch_pair,
     sketch_ensemble,
     validate_target_ranks,
 )
-from ttqmc.tensor_train import ProductState, TensorTrain, tt_product_overlap, tt_to_dense
+from ttqmc.tensor_train import (
+    ProductState,
+    TensorTrain,
+    tt_product_overlap,
+    tt_to_dense,
+    tt_tt_overlap,
+)
 from ttqmc.walker_engine import Walker
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def product_walker(sites, weight=1.0, overlap=1.0):
@@ -222,7 +235,10 @@ class TestSweepPartials:
         pair = make_sketch_pair(d, 3, 0.1, seed=7)
         sites = [rng.standard_normal((n, 2)) for _ in range(d)]
         coeff = rng.random(n) + 0.5
-        L = _left_partials(pair.left, sites, coeff)
+        L = [coeff.reshape(-1, 1)]
+        for core, v in zip(pair.left.cores, sites):
+            out = np.empty((n, core.shape[2]))
+            L.append(_advance_left(L[-1], core, v, out, np.empty(2 * out.size)))
         R = _right_partials(pair.right, sites)
         assert len(L) == len(R) == d + 1
         for k in range(n):
@@ -239,3 +255,149 @@ class TestSweepPartials:
                     sub = TensorTrain([cores[0][a : a + 1]] + cores[1:])
                     ref = tt_product_overlap(sub, ProductState(walker[c:]))
                     assert R[c][k, a] == pytest.approx(ref, rel=1e-12, abs=1e-14)
+
+
+def two_phase_fit(walkers, pair, target_ranks):
+    """The solve-then-truncate fit, kept as an oracle for ``sketch_ensemble``.
+
+    First phase: core m solves X_m G_m = Y_m by least squares.  Y_m is the
+    ensemble sketched on both sides of site m, and X_m contracts the left
+    sketch with the solved cores 0..m-1.  Second phase: the leading right
+    singular vectors of each X_m, as many as the target rank, are
+    contracted into the two cores next to cut m.
+    """
+    d = walkers[0].state.d
+    coeff = np.array([w.weight / w.overlap for w in walkers])
+    sites = [np.stack([w.state.sites[m] for w in walkers]) for m in range(d)]
+    R = [np.ones((len(walkers), 1))]
+    for m in range(d - 1, -1, -1):
+        R.insert(0, np.einsum("kb,aib,ki->ka", R[0], pair.right.cores[m], sites[m]))
+
+    def y_core(L, m):
+        return np.einsum("ka,ki,kb->aib", L, sites[m], R[m + 1])
+
+    L = coeff[:, None]
+    cores, vs = [y_core(L, 0)], [None]
+    for m in range(1, d):
+        s_prev = pair.left.cores[m - 1]
+        if m == 1:
+            x = np.einsum("aix,aig->xg", s_prev, cores[0])
+        else:
+            x = np.einsum("ab,aix,big->xg", x, s_prev, cores[m - 1])
+        vs.append(np.linalg.svd(x)[2][: target_ranks[m - 1]])
+        L = np.einsum("ka,aix,ki->kx", L, s_prev, sites[m - 1])
+        cores.append(least_squares_core(x, y_core(L, m), LS_CUTOFF))
+    trimmed = []
+    for m, g in enumerate(cores):
+        if m > 0:
+            g = np.einsum("ag,gib->aib", vs[m], g)
+        if m < d - 1:
+            g = np.einsum("aig,bg->aib", g, vs[m + 1])
+        trimmed.append(g)
+    return TensorTrain(trimmed)
+
+
+def random_walkers(rng, d, n):
+    return [
+        product_walker(rng.standard_normal((d, 2)), rng.random() + 0.5, rng.random() + 0.5)
+        for _ in range(n)
+    ]
+
+
+def nested_ranks(d, edge, middle):
+    return [edge] + [middle] * (d - 3) + [edge]
+
+
+class TestOneSweepFit:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("d, n", [(4, 30), (7, 1), (7, 40), (10, 1), (10, 60)])
+    def test_matches_two_phase_oracle(self, d, n, seed):
+        rng = np.random.default_rng(100 * d + 10 * n + seed)
+        walkers = random_walkers(rng, d, n)
+        pair = make_sketch_pair(d, 12, 0.1, seed=seed)
+        ranks = nested_ranks(d, 2, 4)
+        tt = sketch_ensemble(walkers, pair, ranks)
+        fit = tt_to_dense(tt)
+        ref = tt_to_dense(two_phase_fit(walkers, pair, ranks))
+        # entries near zero are held to the vector's scale
+        np.testing.assert_allclose(fit, ref, rtol=1e-9, atol=1e-9 * np.abs(ref).max())
+        if n == 1:
+            # the numerical rank is 1, below every target rank: every
+            # direction past the first is zeroed, not inverted
+            for core in tt.cores[1:]:
+                assert np.all(core[1:] == 0.0)
+
+    def test_matches_two_phase_oracle_at_d20(self):
+        d = 20
+        rng = np.random.default_rng(2020)
+        walkers = random_walkers(rng, d, 200)
+        pair = make_sketch_pair(d, 16, 0.1, seed=3)
+        ranks = nested_ranks(d, 2, 4)
+        a = sketch_ensemble(walkers, pair, ranks)
+        b = two_phase_fit(walkers, pair, ranks)
+        cos = tt_tt_overlap(a, b) / np.sqrt(tt_tt_overlap(a, a) * tt_tt_overlap(b, b))
+        assert cos >= 1.0 - 1e-12
+
+    def test_cores_independent_of_blas_threads(self):
+        # one n=2000 sketch in two fresh processes, at 1 and 2 BLAS threads
+        script = (
+            "import hashlib\n"
+            "import numpy as np\n"
+            "from ttqmc.sketching import make_sketch_pair, sketch_ensemble\n"
+            "from ttqmc.walker_engine import Ensemble\n"
+            "d, n = 32, 2000\n"
+            "rng = np.random.default_rng(11)\n"
+            "sites = [rng.standard_normal((n, 2)) for _ in range(d)]\n"
+            "ens = Ensemble(sites, rng.random(n) + 0.5, rng.random(n) + 0.5, seed=0)\n"
+            "ranks = [2] + [4] * (d - 3) + [2]\n"
+            "tt = sketch_ensemble(ens, make_sketch_pair(d, 60, 0.1, seed=5), ranks)\n"
+            "print(hashlib.sha256(b''.join(c.tobytes() for c in tt.cores)).hexdigest())\n"
+        )
+        hashes = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=SRC)
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+                env[var] = threads
+            out = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, check=True, timeout=120,
+            )
+            hashes.append(out.stdout.strip())
+        assert len(hashes[0]) == 64
+        assert hashes[0] == hashes[1]
+
+
+class TestFitFailuresNamed:
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize(
+        "weight, overlap, name",
+        [(np.inf, 1.0, "weight"), (np.nan, 1.0, "weight"), (1.0, 1e-320, "coefficient")],
+    )
+    def test_non_finite_coefficient(self, weight, overlap, name):
+        walkers = [
+            product_walker(np.ones((4, 2))),
+            product_walker(np.ones((4, 2)), weight, overlap),
+        ]
+        pair = make_sketch_pair(4, 6, 0.1, seed=2)
+        with pytest.raises(SketchFitError, match=f"non-finite walker {name}.* at walker 1"):
+            sketch_ensemble(walkers, pair, [2, 2, 2])
+
+    def test_overflowing_cross_matrix_names_cut(self, rng):
+        d = 24
+        walkers = random_walkers(rng, d, 20)
+        walkers[0] = Walker(walkers[0].state, 1e300, 1.0)
+        pair = make_sketch_pair(d, 12, 0.1, seed=2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SketchFitError, match="non-finite cross matrix at cut") as err:
+                sketch_ensemble(walkers, pair, nested_ranks(d, 2, 4))
+        assert 1 <= err.value.cut < d
+
+    def test_svd_failure_names_cut(self, rng, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        pair = make_sketch_pair(5, 6, 0.1, seed=2)
+        with pytest.raises(SketchFitError, match="cut 1 failed: SVD did not converge") as err:
+            sketch_ensemble(random_walkers(rng, 5, 3), pair, [2, 2, 2, 2])
+        assert err.value.cut == 1

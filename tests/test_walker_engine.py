@@ -372,6 +372,20 @@ class TestPopulationControl:
         population_control(ens, np.random.default_rng(3))
         assert not np.any(np.all(ens.sites[0] == [3.0, 4.0], axis=1))
 
+    def test_cache_valid_after_comb(self, rng):
+        # the comb reorders the walkers under a cache whose partials were
+        # all valid; its next overlaps must be those of the combed walkers
+        d, n = 6, 16
+        trial = TrialHandle.from_tt(random_tt(rng, d, 3))
+        sites = [rng.standard_normal((n, 2)) for _ in range(d)]
+        ens = Ensemble(sites, np.ones(n), np.ones(n), seed=1)
+        cache = ens.attach(trial)
+        cache.ensure_measure()
+        ens.weight = np.exp(rng.standard_normal(n))
+        population_control(ens, np.random.default_rng(4))
+        direct = [trial.overlap(w.state) for w in ens.walkers()]
+        np.testing.assert_allclose(cache.overlaps(), direct, rtol=1e-12)
+
 
 class TestReanchorOverlaps:
     def test_same_trial_bit_identical(self):
