@@ -38,6 +38,22 @@ class DeadEnsembleError(TtqmcError):
         self.diagnostics = diagnostics or {}
 
 
+class WeightError(TtqmcError):
+    """A walker weight the comb needs is non-finite or negative.
+
+    ``diagnostics`` holds the step and the first bad walker with its weight
+    (walker None when every weight is finite but their sum overflows).
+    """
+
+    def __init__(self, step, walker, weight):
+        if walker is None:
+            msg = f"walker weights sum to {weight!r} at step {step}"
+        else:
+            msg = f"walker {walker} has weight {weight!r} at step {step}"
+        super().__init__(f"{msg}; the comb needs finite, non-negative weights")
+        self.diagnostics = {"step": step, "walker": walker, "weight": weight}
+
+
 class LatticeError(TtqmcError, ValueError):
     """An unsupported lattice request; ``part`` is "kind", "dims" or "boundary"."""
 
@@ -66,8 +82,8 @@ class PendingHalfStepError(TtqmcError):
         self.step = step
 
 
-class SketchFitError(TtqmcError):
-    """The ensemble-to-TT fit met a non-finite input or a failed SVD.
+class SketchFitError(TtqmcError, ValueError):
+    """The ensemble-to-TT fit met a bad walker, a non-finite input or a failed SVD.
 
     ``cut`` names the cross matrix's cut, or is None for a bad walker.
     """

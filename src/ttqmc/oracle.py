@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import eigsh
 
 from .errors import DenseCapError
 from .spin_model import dense_hamiltonian, sparse_hamiltonian
@@ -47,6 +46,8 @@ def exact_ground(lattice, g, cap=ORACLE_CAP):
         e0, e1 = vals[0], vals[1]
         psi = vecs[:, 0]
     else:
+        from scipy.sparse.linalg import eigsh
+
         H = sparse_hamiltonian(lattice, g, cap=cap)
         vals, vecs = eigsh(H, k=2, which="SA")
         order = np.argsort(vals)

@@ -152,7 +152,9 @@ def validate_target_ranks(target_ranks, d, sketch_rank):
 def _ensemble_arrays(walkers):
     """Site arrays and coefficients c_k = w_k / O_tr(phi_k), zero weights dropped.
 
-    A non-finite weight or coefficient raises SketchFitError naming the walker.
+    A non-finite or negative weight, a positive weight with a non-positive
+    overlap, or a non-finite coefficient raises SketchFitError naming the
+    walker.
     """
     if hasattr(walkers, "sites") and hasattr(walkers, "weight"):
         walkers.require_settled("sketch_ensemble")
@@ -167,23 +169,23 @@ def _ensemble_arrays(walkers):
         sites = [np.stack([w.state.sites[m] for w in walkers]) for m in range(d)]
         weight = np.array([w.weight for w in walkers])
         ovlp = np.array([w.overlap for w in walkers])
-    _require_finite(weight, "weight w_k")
-    if np.any(weight < 0.0):
-        raise ValueError("negative walker weight")
+    _reject_walkers(~np.isfinite(weight), weight, "non-finite walker weight w_k")
+    _reject_walkers(weight < 0.0, weight, "negative walker weight")
     keep = weight > 0.0
     if not keep.any():
         raise ValueError("no walker with positive weight")
-    if np.any(ovlp[keep] <= 0.0):
-        raise ValueError("positive-weight walker with non-positive overlap")
+    bad_ovlp = keep & (ovlp <= 0.0)
+    _reject_walkers(bad_ovlp, ovlp, "positive-weight walker with non-positive overlap")
     coeff = weight / np.where(keep, ovlp, 1.0)
-    _require_finite(coeff, "coefficient w_k/O_k")
+    _reject_walkers(~np.isfinite(coeff), coeff, "non-finite walker coefficient w_k/O_k")
     return [s[keep] for s in sites], coeff[keep]
 
 
-def _require_finite(values, name):
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise SketchFitError(f"non-finite walker {name} at walker {bad[0]}: {values[bad[0]]!r}")
+def _reject_walkers(bad, values, what):
+    """Raise SketchFitError naming the first walker flagged in ``bad``."""
+    k = np.flatnonzero(bad)
+    if k.size:
+        raise SketchFitError(f"{what} at walker {k[0]}: {float(values[k[0]])!r}")
 
 
 def _site_step(P, W, v, out, scratch):

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DenseCapError, LatticeError
 
@@ -225,6 +224,8 @@ def dense_hamiltonian(lattice, g, cap=DENSE_H_CAP):
 
 def sparse_hamiltonian(lattice, g, cap=DENSE_H_CAP):
     """CSR version of dense_hamiltonian, for iterative eigensolvers."""
+    import scipy.sparse as sp
+
     if lattice.d > cap:
         raise DenseCapError(lattice.d, cap)
     states, diag, flips = _hamiltonian_parts(lattice)

@@ -45,7 +45,11 @@ order, by right end q and shorter first for equal q.  The overlap sweep of
 the one-body pass leaves every right environment valid, a bond never
 invalidates one that a later bond reads, and each nearest-neighbour bond
 finds its left environment already advanced, so the bond pass rebuilds no
-environment; a periodic wrap bond runs last.
+environment; a periodic wrap bond runs last.  The cache keeps the sweep's
+site-q halves rather than their sums, so a bond whose site q no earlier
+bond changed (every chain bond but the wrap bond, the first bond ending at
+each q on a cylinder) and every sigma^z sigma^z measurement dot them
+without recomputing them.
 
 Randomness comes from counter-based Philox streams keyed by (seed,
 purpose, step): one draw per step gives the uniforms of every bond and
@@ -63,12 +67,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DeadEnsembleError, DimensionMismatchError, PendingHalfStepError
+from .errors import (
+    DeadEnsembleError,
+    DimensionMismatchError,
+    PendingHalfStepError,
+    WeightError,
+)
 from .tensor_train import (
     ProductState,
     TensorTrain,
     advance_left,
-    advance_right,
     left_halves,
     left_transfer,
     product_overlaps,
@@ -83,10 +91,10 @@ _PURPOSE_POP = 2
 _PAIR_SUM = np.ones(2)  # (n, 2) @ _PAIR_SUM sums each row, as one GEMV
 
 
-def stream(seed, purpose, step=0, index=0):
-    """Deterministic counter-based generator for one (purpose, step, index) slot."""
+def stream(seed, purpose, step=0):
+    """Deterministic counter-based generator for one (purpose, step) slot."""
     key = [int(seed) & (2 ** 64 - 1), int(purpose)]
-    return np.random.Generator(np.random.Philox(key=key, counter=[0, 0, int(step), int(index)]))
+    return np.random.Generator(np.random.Philox(key=key, counter=[0, 0, int(step), 0]))
 
 
 @dataclass
@@ -166,10 +174,21 @@ class TrialHandle:
 class _TTCache:
     """Walker-last partial contractions <psi_tr, phi_k> over an ensemble.
 
-    ``left[m]`` (r_m, n) contracts sites < m, ``right[m]`` sites >= m;
-    left[m] is valid for m <= lv and right[m] for m >= rv.  ``bond_overlaps``
-    keeps the site-p halves so that ``apply_bond`` can store the new
-    left[p+1] without recontraction.
+    ``left[m]`` (r_m, n) contracts sites < m and is valid for m <= lv.  The
+    right side is held as halves, not partials: ``rhalf[j]`` (2, r_j, n) is
+    ``right_halves(R_{j+1}, wr[j], sites[j])``, valid for j >= rv, where
+    R_{j+1} = rhalf[j+1][0] + rhalf[j+1][1] contracts sites > j (ones at
+    j + 1 = d).  ``right(m)`` forms that sum only where a full partial is
+    read: the sweep's next site, ``overlaps``, ``sigma_x_overlaps`` and a
+    bond's recompute.
+
+    A bond (p, q) dots the site-q halves, so it reads ``rhalf[q]`` whenever
+    q >= rv: site q and every site right of it are unchanged since the
+    sweep.  That holds for every chain bond but the wrap bond, for the first
+    bond ending at each q on a cylinder, and for every ``zz_overlaps``.
+    Otherwise (an earlier bond changed site q) the halves are recomputed
+    from right(q+1).  ``bond_overlaps`` keeps the site-p halves so that
+    ``apply_bond`` can store the new left[p+1] without recontraction.
     """
 
     def __init__(self, handle, sites):
@@ -178,9 +197,9 @@ class _TTCache:
         d = handle.d
         n = sites[0].shape[0]
         self.left = [None] * (d + 1)
-        self.right = [None] * (d + 1)
         self.left[0] = np.ones((1, n))
-        self.right[d] = np.ones((1, n))
+        self.rhalf = [None] * d
+        self._ones = np.ones((1, n))
         self.lv = 0
         self.rv = d
         self._halves = None  # site-p halves of the last bond_overlaps call
@@ -194,17 +213,31 @@ class _TTCache:
     def ensure_right(self, m):
         while self.rv > m:
             j = self.rv - 1
-            self.right[j] = advance_right(self.right[j + 1], self.handle.wr[j], self.sites[j])
+            self.rhalf[j] = right_halves(self.right(j + 1), self.handle.wr[j], self.sites[j])
             self.rv -= 1
+
+    def right(self, m):
+        """The right partial (r_m, n) over sites >= m; needs m >= rv."""
+        if m == self.handle.d:
+            return self._ones
+        h = self.rhalf[m]
+        return h[0] + h[1]
 
     def note_all_changed(self):
         self.lv = 0
         self.rv = self.handle.d
 
     def overlaps(self):
-        """<psi, phi_k> from right[0]: the sweep of ``product_overlaps``."""
+        """<psi, phi_k> from right(0): the sweep of ``product_overlaps``."""
         self.ensure_right(0)
-        return self.right[0][0].copy()
+        return self.right(0)[0]
+
+    def site_right_halves(self, q):
+        """The two halves of site q against right(q+1): stored if q >= rv."""
+        if self.rv <= q:
+            return self.rhalf[q]
+        self.ensure_right(q + 1)
+        return right_halves(self.right(q + 1), self.handle.wr[q], self.sites[q])
 
     def _bond_dots(self, p, q):
         """Sum and difference contractions of a bond, dotted with site q.
@@ -213,10 +246,10 @@ class _TTCache:
         to cut q is left[q]; their difference (sigma^z at site p) is carried
         through the inner sites.  Returns ``h`` and E (2, 2, n) with
         E[0, j] = <left[q], B_j> and E[1, j] = <diff, B_j>, where B_j is
-        half j of site q against right[q+1].
+        half j of site q against right(q+1).
         """
         self.ensure_left(p)
-        self.ensure_right(q + 1)
+        b = self.site_right_halves(q)
         wl, sites = self.handle.wl, self.sites
         h = left_halves(self.left[p], wl[p], sites[p])
         if self.lv == p:
@@ -226,19 +259,15 @@ class _TTCache:
         diff = h[0] - h[1]
         for m in range(p + 1, q):
             diff = advance_left(diff, wl[m], sites[m])
-        b = right_halves(self.right[q + 1], self.handle.wr[q], sites[q])
         e = np.empty((2, 2, b.shape[-1]))
         np.einsum("rn,jrn->jn", self.left[q], b, out=e[0])
         np.einsum("rn,jrn->jn", diff, b, out=e[1])
         return h, e
 
-    def bond_overlaps(self, p, q, fac_p, fac_q):
+    def bond_overlaps(self, p, q, factors):
         """Rows <psi, b(+1) phi_k> and <psi, b(-1) phi_k> for the bond at (p, q)."""
         self._halves, e = self._bond_dots(p, q)
-        # site-p factors in the (sum, difference) basis of the halves
-        sum_diff = fac_p[:2] @ np.array([[0.5, 0.5], [0.5, -0.5]])
-        pair = (sum_diff[:, :, None] * fac_q[:2, None, :]).reshape(2, 4)
-        return pair @ e.reshape(4, -1)
+        return factors[2] @ e.reshape(4, -1)
 
     def apply_bond(self, p, q, fp, fq):
         """Store left[p+1] for the applied site-p factors ``fp`` (n, 2)."""
@@ -253,7 +282,7 @@ class _TTCache:
 
     def sigma_x_overlaps(self, m):
         flipped = advance_left(self.left[m], self.handle.wl[m], self.sites[m][:, ::-1])
-        return np.einsum("rn,rn->n", flipped, self.right[m + 1])
+        return np.einsum("rn,rn->n", flipped, self.right(m + 1))
 
     def zz_overlaps(self, p, q):
         _, e = self._bond_dots(p, q)
@@ -287,8 +316,9 @@ class _DenseCache:
         self._ensure_vec()
         return self.vec @ self.psi
 
-    def bond_overlaps(self, p, q, fac_p, fac_q):
+    def bond_overlaps(self, p, q, factors):
         self._ensure_vec()
+        fac_p, fac_q = factors[:2]
         return np.array(
             [
                 self.vec @ (self.psi * fac_p[x][self.bits[p]] * fac_q[x][self.bits[q]])
@@ -432,25 +462,32 @@ def _one_body_pass(ens, cache, B, alive, all_alive, normalize=True):
 
 
 def _bond_factors(prop):
-    """Diagonal HS site factors of a bond as (3, 2) arrays (fac_p, fac_q).
+    """Diagonal HS factors of a bond: (fac_p, fac_q, pair), built once per step.
 
-    Row 0 is the field x = +1, row 1 is x = -1 and row 2 is all ones, the
-    "no update" row for walkers a bond leaves unchanged.  The bond prefactor
-    exp(-dtau) is folded into the site-p factors.
+    ``fac_p`` and ``fac_q`` are (3, 2) site factors: row 0 is the field
+    x = +1, row 1 is x = -1 and row 2 is all ones, the "no update" row for
+    walkers a bond leaves unchanged.  The bond prefactor exp(-dtau) is folded
+    into the site-p factors.  ``pair`` (2, 4) maps the four dots of
+    ``_TTCache._bond_dots`` to the two field overlaps: it is the site-p
+    factors in the (sum, difference) basis of the halves times the site-q
+    factors.
     """
     fac_q = np.array([prop.bond_site_factors(1), prop.bond_site_factors(-1), np.ones(2)])
     fac_p = fac_q.copy()
     fac_p[:2] *= prop.bond_prefactor
-    return fac_p, fac_q
+    sum_diff = fac_p[:2] @ np.array([[0.5, 0.5], [0.5, -0.5]])
+    pair = (sum_diff[:, :, None] * fac_q[:2, None, :]).reshape(2, 4)
+    return fac_p, fac_q, pair
 
 
-def _sample_bond_kernel(ens, cache, p, q, fac_p, fac_q, uniforms, alive, all_alive):
+def _sample_bond_kernel(ens, cache, p, q, factors, uniforms, alive, all_alive):
     """One stochastic bond update, vectorized over walkers.
 
-    Returns the updated alive mask (walkers with both field overlaps
-    non-positive are killed).
+    ``factors`` is the triple of ``_bond_factors``.  Returns the updated
+    alive mask (walkers with both field overlaps non-positive are killed).
     """
-    o = np.maximum(cache.bond_overlaps(p, q, fac_p, fac_q), 0.0)
+    fac_p, fac_q, _ = factors
+    o = np.maximum(cache.bond_overlaps(p, q, factors), 0.0)
     tot = o[0] + o[1]
     sel_minus = uniforms * tot >= o[0]
     act = alive & (tot > 0.0)
@@ -491,9 +528,8 @@ def sample_bond(walker, bond, trial, propagators, rng):
     p, q = sorted(bond)
     ens = Ensemble.from_walkers([walker])
     cache = ens.attach(trial)
-    fac_p, fac_q = _bond_factors(propagators)
     u = np.array([rng.random()])
-    _sample_bond_kernel(ens, cache, p, q, fac_p, fac_q, u, ens.alive, True)
+    _sample_bond_kernel(ens, cache, p, q, _bond_factors(propagators), u, ens.alive, True)
     return ens.walker(0)
 
 
@@ -512,7 +548,7 @@ def step(ensemble, trial, lattice, propagators, settle=True):
         )
     all_alive = bool(alive.all())
     cache = ensemble.attach(trial)
-    fac_p, fac_q = _bond_factors(propagators)
+    factors = _bond_factors(propagators)
 
     lead = propagators.one_body_full if ensemble.pending_half else propagators.one_body_half
     _one_body_pass(ensemble, cache, lead, alive, all_alive)
@@ -525,7 +561,7 @@ def step(ensemble, trial, lattice, propagators, settle=True):
         (len(bonds), ensemble.n_walkers)
     )
     for (p, q), u in zip(bonds, uniforms):
-        alive = _sample_bond_kernel(ensemble, cache, p, q, fac_p, fac_q, u, alive, all_alive)
+        alive = _sample_bond_kernel(ensemble, cache, p, q, factors, u, alive, all_alive)
         all_alive = bool(alive.all())
 
     if settle:
@@ -552,12 +588,19 @@ def population_control(ensemble, rng):
 
     Weights are first normalized to mean 1; a single uniform offset then
     places a comb over the cumulative weights, so walker k receives a number
-    of copies whose expectation is its normalized weight.
+    of copies whose expectation is its normalized weight.  A non-finite or
+    negative weight, or a sum that overflows, raises WeightError naming the
+    step and the first bad walker.
     """
     ensemble.require_settled("population_control")
     w = ensemble.weight
     n = w.shape[0]
+    bad = np.flatnonzero(~(np.isfinite(w) & (w >= 0.0)))
+    if bad.size:
+        raise WeightError(ensemble.step, int(bad[0]), float(w[bad[0]]))
     total = float(w.sum())
+    if total == np.inf:
+        raise WeightError(ensemble.step, None, total)
     if total <= 0.0:
         raise DeadEnsembleError("population control with no positive weight")
     copies = comb_copy_counts(w * (n / total), float(rng.random()))

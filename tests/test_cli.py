@@ -162,6 +162,26 @@ class TestCmdRun:
         assert cli.main(["run", "--config", cfg_path, "--out-dir", str(tmp_path / "out")]) == 3
         assert "cross matrix at cut 1 failed: SVD did not converge" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_weights_exit_3_names_walker(self, tmp_path, capsys):
+        # at g = 20, dtau = 0.1 every step multiplies the weights by about
+        # exp(dtau g d) = e^16, so they overflow before the first comb
+        cfg_path = write_config(
+            tmp_path, lattice_dims=[8], g=20.0, dtau=0.1, n_walkers=8, total_steps=60,
+            measure_every=100, popcontrol_every=60, reanchor=False,
+        )
+        assert cli.main(["run", "--config", cfg_path, "--out-dir", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "has weight inf at step 60" in err
+        assert "died" not in err
+
+    def test_import_does_not_load_scipy(self):
+        # scipy is imported only by the exact references that use it
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        code = "import sys, ttqmc.cli; sys.exit('scipy' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
     def test_missing_config_exit_2(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "nope.json")]) == 2
 

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from ttqmc.errors import DimensionMismatchError, RankZeroError, SketchFitError
+from ttqmc.errors import DimensionMismatchError, RankZeroError, SketchFitError, TtqmcError
 from ttqmc.sketching import (
     LS_CUTOFF,
     _advance_left,
@@ -208,6 +208,18 @@ class TestSketchEnsemble:
         pair = make_sketch_pair(4, 6, 0.1, seed=2)
         with pytest.raises(ValueError, match="overlap"):
             sketch_ensemble([walker], pair, [2, 2, 2])
+
+    @pytest.mark.parametrize("weight, overlap", [(-1.0, 1.0), (1.0, 0.0)])
+    def test_bad_walker_is_named_ttqmc_error(self, weight, overlap):
+        walkers = [
+            product_walker(np.ones((4, 2))),
+            product_walker(np.ones((4, 2)), weight, overlap),
+        ]
+        pair = make_sketch_pair(4, 6, 0.1, seed=2)
+        with pytest.raises(TtqmcError, match="at walker 1") as err:
+            sketch_ensemble(walkers, pair, [2, 2, 2])
+        assert isinstance(err.value, SketchFitError)
+        assert err.value.cut is None
 
     def test_degenerate_pair_rank_zero_names_cut(self):
         # delta = 0 collapses the cluster basis to span{(1,1)}; a walker whose

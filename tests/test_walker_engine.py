@@ -2,12 +2,19 @@ import numpy as np
 import pytest
 
 from ttqmc import walker_engine
-from ttqmc.errors import DeadEnsembleError, PendingHalfStepError
+from ttqmc.errors import DeadEnsembleError, PendingHalfStepError, WeightError
 from ttqmc.oracle import exact_ground
 from ttqmc.qmc_driver import default_trial, mixed_energy
 from ttqmc.sketching import make_sketch_pair, sketch_ensemble
 from ttqmc.spin_model import PropagatorSet, build_lattice, hs_lambda
-from ttqmc.tensor_train import ProductState, TensorTrain, advance_left, tt_to_dense
+from ttqmc.tensor_train import (
+    ProductState,
+    TensorTrain,
+    advance_left,
+    advance_right,
+    right_halves,
+    tt_to_dense,
+)
 from ttqmc.walker_engine import (
     Ensemble,
     TrialHandle,
@@ -364,6 +371,24 @@ class TestPopulationControl:
         with pytest.raises(DeadEnsembleError):
             population_control(ens, np.random.default_rng(0))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize(
+        "bad, walker",
+        [(np.inf, 1), (np.nan, 1), (-0.5, 1), (1e308, None)],
+        ids=["inf", "nan", "negative", "overflowing-sum"],
+    )
+    def test_bad_weights_named(self, bad, walker):
+        trial = uniform_trial(3)
+        ens = Ensemble.from_trial_product(trial, 3, seed=1)
+        ens.step = 7
+        ens.weight = np.array([1.0, bad, 1.0]) if walker is not None else np.full(3, bad)
+        with pytest.raises(WeightError) as err:
+            population_control(ens, np.random.default_rng(0))
+        assert err.value.diagnostics["step"] == 7
+        assert err.value.diagnostics["walker"] == walker
+        assert "step 7" in str(err.value)
+        assert "died" not in str(err.value)
+
     def test_dead_walkers_never_copied(self):
         trial = uniform_trial(3)
         ens = Ensemble.from_trial_product(trial, 4, seed=1)
@@ -422,9 +447,9 @@ class TestReanchorOverlaps:
 
 class TestStreams:
     def test_keyed_streams_reproducible(self):
-        a = stream(123, 1, step=7, index=3).random(5)
-        b = stream(123, 1, step=7, index=3).random(5)
-        c = stream(123, 1, step=7, index=4).random(5)
+        a = stream(123, 1, step=7).random(5)
+        b = stream(123, 1, step=7).random(5)
+        c = stream(123, 1, step=8).random(5)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -466,8 +491,9 @@ def _signed_ensemble(rng, d, n, dead=()):
     return ens
 
 
-def _dense_bond_overlaps(psi, ens, p, q, fac_p, fac_q):
+def _dense_bond_overlaps(psi, ens, p, q, factors):
     """Kronecker-expanded <psi, b(x) phi_k>, rows x = +1, -1."""
+    fac_p, fac_q, _ = factors
     out = np.empty((2, ens.n_walkers))
     for x in (0, 1):
         for k in range(ens.n_walkers):
@@ -493,13 +519,13 @@ class TestTTKernel:
         tt = random_tt(rng, lattice.d, rank)
         psi = tt_to_dense(tt)
         trial = TrialHandle.from_tt(tt)
-        fac_p, fac_q = walker_engine._bond_factors(PropagatorSet.build(1.0, 0.05))
+        factors = walker_engine._bond_factors(PropagatorSet.build(1.0, 0.05))
         ens = _signed_ensemble(rng, lattice.d, 5, dead=(1,))
         cache = ens.attach(trial)
         spans = set()
         for p, q in lattice.chain_bonds:
-            got = cache.bond_overlaps(p, q, fac_p, fac_q)
-            ref = _dense_bond_overlaps(psi, ens, p, q, fac_p, fac_q)
+            got = cache.bond_overlaps(p, q, factors)
+            ref = _dense_bond_overlaps(psi, ens, p, q, factors)
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
             spans.add(q - p)
         assert max(spans) == lattice.d - 1
@@ -507,13 +533,13 @@ class TestTTKernel:
     def test_apply_bond_stores_fresh_left_partial(self, rng):
         d = 8
         trial = TrialHandle.from_tt(random_tt(rng, d, 3))
-        fac_p, fac_q = walker_engine._bond_factors(PropagatorSet.build(1.0, 0.05))
+        factors = walker_engine._bond_factors(PropagatorSet.build(1.0, 0.05))
         for p, q in [(2, 3), (1, 6), (0, 7)]:
             ens = _signed_ensemble(rng, d, 6, dead=(0, 4))
             cache = ens.attach(trial)
             alive = ens.alive
             walker_engine._sample_bond_kernel(
-                ens, cache, p, q, fac_p, fac_q, rng.random(6), alive, False
+                ens, cache, p, q, factors, rng.random(6), alive, False
             )
             assert cache.lv == p + 1
             fresh = advance_left(cache.left[p], trial.wl[p], ens.sites[p])
@@ -552,15 +578,16 @@ class TestTTKernel:
     def test_bond_pass_rebuilds_no_right_partials(self, rng, monkeypatch, settle):
         # the one-body pass's right-to-left overlap sweep leaves every right
         # environment valid, and bonds ordered by right end never invalidate
-        # one that a later bond reads
+        # one that a later bond reads; a bond reads the sweep's stored
+        # site-q halves unless an earlier bond changed site q, which on a
+        # chain happens only to the periodic wrap bond (q = d-1 was changed
+        # by bond (d-2, d-1))
         d = 16
-        lat = build_lattice("chain", (d,), "periodic")
         tt = random_tt(rng, d, 2)
         trial = TrialHandle.from_tt(TensorTrain([np.abs(c) for c in tt.cores]))
-        ens = Ensemble.from_trial_product(uniform_trial(d), 20, seed=2)
-        reanchor_overlaps(ens, trial)
         prop = PropagatorSet.build(1.0, 0.01)
         rebuilt = []
+        halves = [0]
         in_bond = [False]
         ensure_right = walker_engine._TTCache.ensure_right
         kernel = walker_engine._sample_bond_kernel
@@ -570,6 +597,10 @@ class TestTTKernel:
                 rebuilt.append(max(cache.rv - m, 0))
             ensure_right(cache, m)
 
+        def counting_halves(*args):
+            halves[0] += in_bond[0]
+            return right_halves(*args)
+
         def bond_kernel(*args):
             in_bond[0] = True
             try:
@@ -578,8 +609,52 @@ class TestTTKernel:
                 in_bond[0] = False
 
         monkeypatch.setattr(walker_engine._TTCache, "ensure_right", counting)
+        monkeypatch.setattr(walker_engine, "right_halves", counting_halves)
         monkeypatch.setattr(walker_engine, "_sample_bond_kernel", bond_kernel)
-        for _ in range(3):
-            step(ens, trial, lat, prop, settle=settle)
-        assert len(rebuilt) == 3 * len(lat.chain_bonds)
-        assert sum(rebuilt) == 0
+        for boundary, per_step in (("periodic", 1), ("open", 0)):
+            lat = build_lattice("chain", (d,), boundary)
+            ens = Ensemble.from_trial_product(uniform_trial(d), 20, seed=2)
+            reanchor_overlaps(ens, trial)
+            rebuilt.clear()
+            halves[0] = 0
+            for _ in range(3):
+                step(ens, trial, lat, prop, settle=settle)
+            assert halves[0] == 3 * per_step, boundary
+            assert sum(rebuilt) == 0
+
+    @pytest.mark.parametrize(
+        "lattice",
+        [
+            build_lattice("chain", (7,), "periodic"),
+            build_lattice("cylinder", (4, 2), "periodic"),
+        ],
+        ids=["chain7", "cylinder4x2"],
+    )
+    def test_bond_site_halves_are_fresh(self, rng, monkeypatch, lattice):
+        # every site-q halves a bond dots, stored by the sweep or recomputed,
+        # equal bit for bit the halves of the current sites: the wrap bond
+        # and a cylinder's second bond ending at q must not read the stored
+        # ones, which an earlier bond has made stale
+        d = lattice.d
+        tt = random_tt(rng, d, 3)
+        trial = TrialHandle.from_tt(TensorTrain([np.abs(c) for c in tt.cores]))
+        prop = PropagatorSet.build(1.0, 0.05)
+        ens = Ensemble.from_trial_product(uniform_trial(d), 12, seed=3)
+        reanchor_overlaps(ens, trial)
+        site_right_halves = walker_engine._TTCache.site_right_halves
+        seen = []
+
+        def checked(cache, q):
+            b = site_right_halves(cache, q)
+            R = np.ones((1, ens.n_walkers))
+            for m in range(d - 1, q, -1):
+                R = advance_right(R, trial.wr[m], ens.sites[m])
+            assert np.array_equal(b, right_halves(R, trial.wr[q], ens.sites[q])), q
+            seen.append(q)
+            return b
+
+        monkeypatch.setattr(walker_engine._TTCache, "site_right_halves", checked)
+        for settle in (False, True, True):
+            step(ens, trial, lattice, prop, settle=settle)
+        mixed_energy(ens, trial, lattice, 1.0)
+        assert len(seen) == 4 * len(lattice.chain_bonds)
