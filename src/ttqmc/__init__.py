@@ -2,7 +2,7 @@
 tensor-train re-anchored trial wavefunctions."""
 
 from .config import RunConfig, config_from_dict, load_config
-from .oracle import ExactSolution, exact_ground, residual_check
+from .oracle import ExactSolution, exact_ground
 from .qmc_driver import (
     EnergyTrace,
     Schedule,

@@ -258,9 +258,9 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except TtqmcError as exc:
-        context = getattr(exc, "diagnostics", None)
-        suffix = f" (context: {context})" if context else ""
-        print(f"runtime error: {exc}{suffix}", file=sys.stderr)
+        # each error's message carries its own context (DeadEnsembleError
+        # appends the diagnostics filled in after it was raised)
+        print(f"runtime error: {exc}", file=sys.stderr)
         return 3
 
 

@@ -31,27 +31,57 @@ class ZeroOverlapError(TtqmcError):
 
 
 class DeadEnsembleError(TtqmcError):
-    """Every walker has been killed; the run cannot continue."""
+    """Every walker has been killed; the run cannot continue.
+
+    ``diagnostics`` (the step, and the kills of a re-anchor) may be filled in
+    after construction, so ``str`` appends them to the message when it is read.
+    """
 
     def __init__(self, message, diagnostics=None):
         super().__init__(message)
         self.diagnostics = diagnostics or {}
 
+    def __str__(self):
+        msg = super().__str__()
+        return f"{msg} (context: {self.diagnostics})" if self.diagnostics else msg
+
 
 class WeightError(TtqmcError):
-    """A walker weight the comb needs is non-finite or negative.
+    """A walker weight the comb or the mixed estimator needs is non-finite or negative.
 
     ``diagnostics`` holds the step and the first bad walker with its weight
-    (walker None when every weight is finite but their sum overflows).
+    (walker None when every weight is finite but their sum overflows); the
+    message already names all three.
     """
 
-    def __init__(self, step, walker, weight):
+    def __init__(self, step, walker, weight, user):
         if walker is None:
             msg = f"walker weights sum to {weight!r} at step {step}"
         else:
             msg = f"walker {walker} has weight {weight!r} at step {step}"
-        super().__init__(f"{msg}; the comb needs finite, non-negative weights")
+        super().__init__(f"{msg}; {user} needs finite, non-negative weights")
         self.diagnostics = {"step": step, "walker": walker, "weight": weight}
+
+
+class EigensolverError(TtqmcError):
+    """An iterative eigensolver reached its iteration cap without converging."""
+
+    def __init__(self, d, iterations, energy):
+        super().__init__(
+            f"Lanczos did not converge at d={d} in {iterations} iterations "
+            f"(last lowest Ritz value {energy!r})"
+        )
+        self.d = d
+
+
+class AnalyticCheckError(TtqmcError):
+    """The free-fermion chain energy disagreed with exact diagonalization."""
+
+    def __init__(self, d, formula, solver):
+        super().__init__(
+            f"analytic chain energy failed validation at d={d}: "
+            f"formula {formula!r} vs eigensolver {solver!r}"
+        )
 
 
 class LatticeError(TtqmcError, ValueError):

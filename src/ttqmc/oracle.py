@@ -1,4 +1,4 @@
-"""Exact references for small systems: lowest eigenpair and residual gates."""
+"""Exact references for small systems: the lowest eigenpair and the gap to E_1."""
 
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ def exact_ground(lattice, g, cap=ORACLE_CAP):
     Sign convention: the largest-magnitude entry of the eigenvector is
     positive.  Ground states with gap < 1e-10 are flagged degenerate.
     Callers that can afford the memory may raise ``cap`` to reach the
-    Krylov path at larger d.
+    Krylov path at larger d.  That path (d > 10) imports scipy on first use.
     """
     d = lattice.d
     if d > cap:
@@ -59,9 +59,3 @@ def exact_ground(lattice, g, cap=ORACLE_CAP):
     psi.flags.writeable = False
     return ExactSolution(energy=float(e0), ground_state=psi, gap=float(e1 - e0))
 
-
-def residual_check(solution, lattice, g):
-    """||H psi0 - E0 psi0||_2; used as a gate in CI."""
-    H = sparse_hamiltonian(lattice, g, cap=lattice.d)
-    psi = solution.ground_state
-    return float(np.linalg.norm(H @ psi - solution.energy * psi))

@@ -32,6 +32,7 @@ from .walker_engine import (
     _PURPOSE_POP,
     Ensemble,
     TrialHandle,
+    checked_weight_sum,
     population_control,
     reanchor_overlaps,
     step,
@@ -141,9 +142,12 @@ def _batch_local_energies(ensemble, trial, lattice, g):
 
 
 def mixed_energy(ensemble, trial, lattice, g):
-    """Weight-weighted average of local energies over alive walkers."""
+    """Weight-weighted average of local energies over alive walkers.
+
+    A non-finite or negative weight, or an overflowing sum, raises WeightError.
+    """
     ensemble.require_settled("mixed_energy")
-    total = float(ensemble.weight.sum())
+    total = checked_weight_sum(ensemble, "the mixed estimator")
     if total <= 0.0:
         raise DeadEnsembleError("mixed energy with zero total weight")
     eloc = _batch_local_energies(ensemble, trial, lattice, g)

@@ -583,6 +583,22 @@ def comb_copy_counts(weights, offset):
     return np.diff(np.concatenate(([1], marks)))
 
 
+def checked_weight_sum(ensemble, user):
+    """Sum of the weights, for ``user`` (named in the error) to normalize by.
+
+    A non-finite or negative weight, or a sum that overflows, raises
+    WeightError naming the step and the first bad walker.
+    """
+    w = ensemble.weight
+    bad = np.flatnonzero(~(np.isfinite(w) & (w >= 0.0)))
+    if bad.size:
+        raise WeightError(ensemble.step, int(bad[0]), float(w[bad[0]]), user)
+    total = float(w.sum())
+    if total == np.inf:
+        raise WeightError(ensemble.step, None, total, user)
+    return total
+
+
 def population_control(ensemble, rng):
     """Comb resampling: restores unit weights, preserves the population size.
 
@@ -595,12 +611,7 @@ def population_control(ensemble, rng):
     ensemble.require_settled("population_control")
     w = ensemble.weight
     n = w.shape[0]
-    bad = np.flatnonzero(~(np.isfinite(w) & (w >= 0.0)))
-    if bad.size:
-        raise WeightError(ensemble.step, int(bad[0]), float(w[bad[0]]))
-    total = float(w.sum())
-    if total == np.inf:
-        raise WeightError(ensemble.step, None, total)
+    total = checked_weight_sum(ensemble, "the comb")
     if total <= 0.0:
         raise DeadEnsembleError("population control with no positive weight")
     copies = comb_copy_counts(w * (n / total), float(rng.random()))

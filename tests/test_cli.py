@@ -1,12 +1,13 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from ttqmc import cli
+from ttqmc import cli, spin_model
 from ttqmc.config import RunConfig, load_config
 from ttqmc.errors import ConfigError
 from ttqmc.tensor_train import load_tt
@@ -173,7 +174,39 @@ class TestCmdRun:
         assert cli.main(["run", "--config", cfg_path, "--out-dir", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err
         assert "has weight inf at step 60" in err
+        # the step is named once, not again in a repeated context dict
+        assert len(re.findall(r"step'?:? 60\b", err)) == 1
         assert "died" not in err
+
+    def test_failed_analytic_check_exit_3_names_d(self, tmp_path, capsys, monkeypatch):
+        # the free-fermion reference's cross-check is live in every chain run
+        raw = spin_model._analytic_chain_energy_raw
+        monkeypatch.setattr(spin_model, "_analytic_chain_energy_raw", lambda d, g: raw(d, g) + 1e-6)
+        monkeypatch.setattr(spin_model, "_ANALYTIC_VALIDATED", False)
+        cfg_path = write_config(tmp_path)
+        assert cli.main(["run", "--config", cfg_path, "--out-dir", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "d=8" in err
+        assert "Traceback" not in err
+
+    def test_periodic_chain_run_does_not_load_scipy(self, tmp_path):
+        # d=16 is past the exact oracle, so the reference is the free-fermion
+        # formula, whose cross-check runs without scipy
+        cfg_path = write_config(
+            tmp_path, lattice_dims=[16], total_steps=0, sketch_stop_step=0, equilibration_steps=0,
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        code = (
+            "import sys; from ttqmc import cli; "
+            f"rc = cli.main(['run', '--config', {cfg_path!r}, '--out-dir', {str(tmp_path / 'out')!r}]); "
+            "sys.exit(rc or 10 * ('scipy' in sys.modules))"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+        assert proc.returncode == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        # at g = 1 the free-fermion sum has the closed form -2 / sin(pi / 2d)
+        assert summary["reference_energy"] == pytest.approx(-2.0 / np.sin(np.pi / 32), abs=1e-12)
 
     def test_import_does_not_load_scipy(self):
         # scipy is imported only by the exact references that use it

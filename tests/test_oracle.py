@@ -2,8 +2,15 @@ import numpy as np
 import pytest
 
 from ttqmc.errors import DenseCapError
-from ttqmc.oracle import ExactSolution, exact_ground, residual_check
-from ttqmc.spin_model import analytic_chain_energy, build_lattice
+from ttqmc.oracle import ExactSolution, exact_ground
+from ttqmc.spin_model import analytic_chain_energy, build_lattice, sparse_hamiltonian
+
+
+def residual_check(solution, lattice, g):
+    """||H psi0 - E0 psi0||_2 of an exact solution."""
+    H = sparse_hamiltonian(lattice, g, cap=lattice.d)
+    psi = solution.ground_state
+    return float(np.linalg.norm(H @ psi - solution.energy * psi))
 
 
 class TestExactGround:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ttqmc.config import RunConfig
-from ttqmc.errors import ConfigError, DeadEnsembleError, ZeroOverlapError
+from ttqmc.errors import ConfigError, DeadEnsembleError, WeightError, ZeroOverlapError
 from ttqmc.oracle import exact_ground
 from ttqmc.qmc_driver import (
     EnergyTrace,
@@ -129,6 +129,20 @@ class TestMixedEnergy:
         ens.weight[:] = 0.0
         with pytest.raises(DeadEnsembleError):
             mixed_energy(ens, trial, lat, 1.0)
+
+
+    def test_non_finite_weight_named(self):
+        lat = build_lattice("chain", (3,), "open")
+        trial = default_trial(3)
+        ens = Ensemble.from_trial_product(trial, 2, seed=0)
+        ens.step = 4
+        ens.weight = np.array([1.0, np.inf])
+        with pytest.raises(WeightError) as err:
+            mixed_energy(ens, trial, lat, 1.0)
+        assert err.value.diagnostics["step"] == 4
+        assert err.value.diagnostics["walker"] == 1
+        assert "walker 1 has weight inf at step 4" in str(err.value)
+        assert "died" not in str(err.value)
 
 
 class TestBlockingError:

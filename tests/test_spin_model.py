@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from ttqmc.errors import DenseCapError
+from scipy.sparse.linalg import eigsh
+
+from ttqmc import spin_model
+from ttqmc.errors import DenseCapError, EigensolverError
 from ttqmc.spin_model import (
     SIGMA_X,
     PropagatorSet,
+    _lanczos_ground_energy,
     analytic_chain_energy,
     build_lattice,
     dense_hamiltonian,
@@ -158,6 +162,34 @@ class TestAnalyticChainEnergy:
         e_an = analytic_chain_energy(10, 4.0)
         assert abs(e_an - e_dense) < 1e-10
         assert abs(e_an - (-4.0 * 10)) / (4.0 * 10) < 0.02
+
+
+LANCZOS_LATTICES = {
+    "chain8-periodic": ("chain", (8,), "periodic"),
+    "chain10-open": ("chain", (10,), "open"),
+    "chain12-periodic": ("chain", (12,), "periodic"),
+    "cylinder3x4": ("cylinder", (3, 4), "periodic"),
+}
+
+
+class TestLanczosGroundEnergy:
+    @pytest.mark.parametrize("g", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("name", list(LANCZOS_LATTICES))
+    def test_matches_exact_diagonalization(self, name, g):
+        lat = build_lattice(*LANCZOS_LATTICES[name])
+        if lat.d <= 10:
+            expected = np.linalg.eigh(dense_hamiltonian(lat, g))[0][0]
+        else:
+            expected = eigsh(sparse_hamiltonian(lat, g), k=1, which="SA", return_eigenvectors=False)[0]
+        assert abs(_lanczos_ground_energy(lat, g) - expected) < 1e-10
+
+    def test_iteration_cap_is_an_error(self, monkeypatch):
+        # d=8 at g=1 needs about 15 iterations
+        monkeypatch.setattr(spin_model, "LANCZOS_MAX_ITER", 3)
+        lat = build_lattice("chain", (8,), "periodic")
+        with pytest.raises(EigensolverError) as err:
+            _lanczos_ground_energy(lat, 1.0)
+        assert err.value.d == 8
 
 
 class TestPropagatorProperties:
