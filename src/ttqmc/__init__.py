@@ -5,12 +5,10 @@ from .config import RunConfig, config_from_dict, load_config
 from .oracle import ExactSolution, exact_ground
 from .qmc_driver import (
     EnergyTrace,
-    Schedule,
     blocking_error,
     default_trial,
     fidelity,
     g_sweep,
-    local_energy,
     mixed_energy,
     run,
 )
@@ -37,7 +35,6 @@ from .walker_engine import (
     Ensemble,
     TrialHandle,
     Walker,
-    apply_one_body,
     population_control,
     reanchor_overlaps,
     sample_bond,

@@ -51,16 +51,6 @@ def _csv_text(header, rows):
     return "\n".join(lines) + "\n"
 
 
-def _apply_threads(threads):
-    if threads and threads > 0:
-        try:
-            import threadpoolctl
-
-            threadpoolctl.threadpool_limits(threads)
-        except ImportError:
-            pass  # results are thread-count independent either way
-
-
 def _reference(config, lattice):
     """(reference energy, dense ground state or None) for error reporting."""
     energy, vec = None, None
@@ -91,12 +81,11 @@ def _summary_payload(config, trace, reference_energy, fid):
 
 
 def cmd_run(config):
-    _apply_threads(config.threads)
     lattice = config.lattice()
     trace, trial, _ = run(config)
     reference_energy, ground_state = _reference(config, lattice)
     fid = None
-    if ground_state is not None and trial.kind == "tt":
+    if ground_state is not None:
         fid = fidelity(trial, ground_state)
 
     os.makedirs(config.out_dir, exist_ok=True)
@@ -106,8 +95,7 @@ def cmd_run(config):
         os.path.join(config.out_dir, "summary.json"),
         json.dumps(summary, indent=2, sort_keys=True) + "\n",
     )
-    if trial.kind == "tt":
-        _atomic_write_tt(os.path.join(config.out_dir, "trial.tt"), trial.tt)
+    _atomic_write_tt(os.path.join(config.out_dir, "trial.tt"), trial.tt)
 
     if trace.mean is not None:
         line = f"energy = {trace.mean:.10f}"
@@ -123,7 +111,6 @@ def cmd_run(config):
 
 def _sweep_common(config, values, field_name, out_name, header):
     """One run per value of a single swept config field; emits one CSV."""
-    _apply_threads(config.threads)
     rows = []
     for v in values:
         cfg = replace(config, **{field_name: v})
@@ -174,7 +161,6 @@ def cmd_popsize_sweep(config, n_list):
 
 
 def cmd_gsweep(config, g_values, dg):
-    _apply_threads(config.threads)
     rows = g_sweep(config, g_values, dg)
     os.makedirs(config.out_dir, exist_ok=True)
     _atomic_write_text(
@@ -204,7 +190,6 @@ def build_parser():
     def add_common(p):
         p.add_argument("--config", help="JSON config file (flat RunConfig keys)")
         p.add_argument("--seed", type=int, help="override the RNG seed")
-        p.add_argument("--threads", type=int, help="cap BLAS threads (never changes results)")
         p.add_argument("--no-reanchor", action="store_true", help="vanilla mode: fixed disordered trial")
         p.add_argument("--out-dir", help="output directory")
 
@@ -232,8 +217,6 @@ def _config_from_args(args):
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if args.threads is not None:
-        overrides["threads"] = args.threads
     if args.out_dir is not None:
         overrides["out_dir"] = args.out_dir
     if args.no_reanchor:

@@ -8,7 +8,6 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .errors import ConfigError, LatticeError
-from .qmc_driver import Schedule
 from .sketching import validate_target_ranks
 from .spin_model import PropagatorSet, build_lattice
 
@@ -41,7 +40,6 @@ class RunConfig:
     target_middle_rank: int = 4
     reanchor: bool = True
     seed: int = 0
-    threads: int = 0
     out_dir: str = "runs"
 
     def __post_init__(self):
@@ -121,17 +119,6 @@ class RunConfig:
         if self.equilibration_steps is not None:
             return self.equilibration_steps
         return self.resolved_sketch_stop()
-
-    def resolved_schedule(self):
-        return Schedule(
-            dtau=self.dtau,
-            total_steps=self.total_steps,
-            measure_every=self.measure_every,
-            popcontrol_every=self.popcontrol_every,
-            sketch_every=self.sketch_every,
-            sketch_stop_step=self.resolved_sketch_stop(),
-            equilibration_steps=self.resolved_equilibration(),
-        )
 
     def target_ranks(self, d):
         """Edge/middle rank pattern clipped to what d admits."""

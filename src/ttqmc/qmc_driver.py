@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import ConfigError, DeadEnsembleError, ZeroOverlapError
 from .sketching import make_sketch_pair, sketch_ensemble
-from .spin_model import PropagatorSet, build_lattice
-from .tensor_train import ProductState, TensorTrain
+from .spin_model import PropagatorSet
+from .tensor_train import TensorTrain
 from .walker_engine import (
     _PURPOSE_POP,
     Ensemble,
@@ -38,31 +38,6 @@ from .walker_engine import (
     step,
     stream,
 )
-
-
-@dataclass(frozen=True)
-class Schedule:
-    """Cadence of a run: step counts and event intervals."""
-
-    dtau: float
-    total_steps: int
-    measure_every: int = 10
-    popcontrol_every: int = 10
-    sketch_every: int = 50
-    sketch_stop_step: int = 2000
-    equilibration_steps: int = 2000
-
-    def __post_init__(self):
-        for name in ("measure_every", "popcontrol_every", "sketch_every"):
-            if getattr(self, name) < 1:
-                raise ConfigError(name, "interval must be >= 1")
-        if self.total_steps < 0:
-            raise ConfigError("total_steps", "must be >= 0")
-        if self.sketch_stop_step > self.total_steps:
-            raise ConfigError(
-                "sketch_stop_step",
-                f"{self.sketch_stop_step} exceeds total_steps {self.total_steps}",
-            )
 
 
 @dataclass
@@ -102,27 +77,6 @@ class EnergyTrace:
         for s, e, w, a in self.entries:
             lines.append(f"{int(s)},{e!r},{w!r},{int(a)}")
         return "\n".join(lines) + "\n"
-
-
-def local_energy(trial, walker, lattice, g):
-    """<psi_tr, H phi> / <psi_tr, phi> for a single walker, term by term."""
-    den = trial.overlap(walker.state)
-    if den == 0.0:
-        raise ZeroOverlapError("trial-walker overlap is zero")
-    sites = walker.state.sites
-    sx = 0.0
-    for m in range(walker.state.d):
-        flipped = sites.copy()
-        flipped[m] = sites[m, ::-1]
-        sx += trial.overlap(ProductState(flipped))
-    zz = 0.0
-    sign = np.array([1.0, -1.0])
-    for p, q in lattice.chain_bonds:
-        mod = sites.copy()
-        mod[p] = sites[p] * sign
-        mod[q] = sites[q] * sign
-        zz += trial.overlap(ProductState(mod))
-    return (-g * sx - zz) / den
 
 
 def _batch_local_energies(ensemble, trial, lattice, g):
@@ -204,8 +158,8 @@ def run(config, initial_trial=None):
     the given trial.  Deterministic for a fixed config and seed.
     """
     lattice = config.lattice()
-    sched = config.resolved_schedule()
     prop = PropagatorSet.build(config.g, config.dtau)
+    sketch_stop = config.resolved_sketch_stop()
     d = lattice.d
 
     base = default_trial(d)
@@ -231,15 +185,15 @@ def run(config, initial_trial=None):
 
     try:
         measure(0)
-        for n in range(1, sched.total_steps + 1):
-            measuring = n % sched.measure_every == 0
-            combing = n % sched.popcontrol_every == 0
+        for n in range(1, config.total_steps + 1):
+            measuring = n % config.measure_every == 0
+            combing = n % config.popcontrol_every == 0
             sketching = (
                 config.reanchor
-                and n % sched.sketch_every == 0
-                and n <= sched.sketch_stop_step
+                and n % config.sketch_every == 0
+                and n <= sketch_stop
             )
-            settle = measuring or combing or sketching or n == sched.total_steps
+            settle = measuring or combing or sketching or n == config.total_steps
             t0 = time.perf_counter()
             step(ensemble, trial, lattice, prop, settle=settle)
             timers["propagate"] += time.perf_counter() - t0
@@ -266,7 +220,7 @@ def run(config, initial_trial=None):
         energy=energy,
         total_weight=np.array([r[2] for r in records]),
         alive=np.array([r[3] for r in records], dtype=np.int64),
-        equilibration_steps=sched.equilibration_steps,
+        equilibration_steps=config.resolved_equilibration(),
         diagnostics={
             "wall_times": dict(timers),
             "reanchor_kills": list(ensemble.reanchor_kill_counts),

@@ -83,6 +83,27 @@ class TensorTrain:
         return cls([v.reshape(1, 2, 1) for v in sites])
 
     @classmethod
+    def from_dense(cls, vec):
+        """Exact TT of a length-2^d vector by d - 1 sequential SVDs (TT-SVD).
+
+        Oseledets 2011.  No singular value is dropped, so the ranks are
+        min(2^c, 2^(d-c)) and the TT reproduces ``vec`` up to rounding.
+        """
+        vec = np.asarray(vec, dtype=np.float64)
+        if vec.ndim != 1 or vec.size < 2 or vec.size & (vec.size - 1):
+            raise ValueError(f"a dense vector needs length 2^d, d >= 1; got shape {vec.shape}")
+        d = vec.size.bit_length() - 1
+        cores = []
+        rest = vec.reshape(1, -1)
+        for _ in range(d - 1):
+            r = rest.shape[0]
+            u, s, vt = np.linalg.svd(rest.reshape(2 * r, -1), full_matrices=False)
+            cores.append(u.reshape(r, 2, -1))
+            rest = s[:, None] * vt
+        cores.append(rest.reshape(-1, 2, 1))
+        return cls(cores)
+
+    @classmethod
     def disordered(cls, d):
         """The fully disordered state 2^{-d/2} (1,1)^{otimes d} as a rank-1 TT."""
         v = np.full(2, 2.0 ** -0.5)

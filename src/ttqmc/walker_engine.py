@@ -27,13 +27,14 @@ Every one-body pass rescales the site vectors to unit norm; the
 represented ensemble sum_k w_k phi_k / O_tr(phi_k) is invariant under that.
 
 The ensemble is stored struct-of-arrays (one (n_walkers, 2) array per chain
-position) so every update is vectorized over walkers.  Every TT trial
-overlap goes through the walker-last kernel of ``tensor_train``: partial
-contractions are (rank, n_walkers) arrays, and a site step is one GEMM with
-the core's stacked transfer matrix followed by the two physical halves
+position) so every update is vectorized over walkers.  Every trial is a
+tensor train (``TrialHandle``), and every overlap goes through the
+walker-last kernel of ``tensor_train``: partial contractions are
+(rank, n_walkers) arrays, and a site step is one GEMM with the core's
+stacked transfer matrix followed by the two physical halves
 (C_i^T L) * v[:, i].  Overlaps are contracted right to left, in the cache
-and in ``TrialHandle.overlap`` (the same sweep on a batch of one), so
-stored and directly computed overlaps share one path.
+and in ``TrialHandle.overlap`` (``tt_product_overlap``, the same sweep on
+a batch of one), so stored and directly computed overlaps share one path.
 
 A bond at chain positions (p, q) yields both field overlaps from one pass:
 the sum and the difference of the site-p halves (the difference is sigma^z
@@ -69,7 +70,6 @@ import numpy as np
 
 from .errors import (
     DeadEnsembleError,
-    DimensionMismatchError,
     PendingHalfStepError,
     WeightError,
 )
@@ -79,9 +79,9 @@ from .tensor_train import (
     advance_left,
     left_halves,
     left_transfer,
-    product_overlaps,
     right_halves,
     right_transfer,
+    tt_product_overlap,
     tt_to_dense,
 )
 
@@ -107,32 +107,28 @@ class Walker:
 
 
 class TrialHandle:
-    """A trial wavefunction usable for overlaps: a TT or a dense vector.
+    """A trial wavefunction, always a tensor train, ready for overlaps.
 
-    Product-state trials are held as rank-1 TTs.  The handle is immutable;
-    overlap caches are built per ensemble, not stored here.  ``wl`` and
-    ``wr`` are the stacked per-core transfer matrices of the walker-last
-    kernel in ``tensor_train``.
+    A product-state trial is a rank-1 TT, a re-anchored trial is the TT that
+    ``sketch_ensemble`` fits, and a dense vector becomes an exact TT through
+    ``TensorTrain.from_dense``, so every overlap runs through ``_TTCache``
+    and the walker-last kernel of ``tensor_train``.  The handle is
+    immutable; overlap caches are built per ensemble, not stored here.
+    ``wl`` and ``wr`` are the stacked per-core transfer matrices of that
+    kernel.
     """
 
-    __slots__ = ("kind", "tt", "dense_vec", "d", "wl", "wr")
+    __slots__ = ("tt", "d", "wl", "wr")
 
-    def __init__(self, kind, d, tt=None, dense_vec=None):
-        self.kind = kind
-        self.d = d
+    def __init__(self, tt):
         self.tt = tt
-        self.dense_vec = dense_vec
-        if kind == "tt":
-            self.wl = [left_transfer(c) for c in tt.cores]
-            self.wr = [right_transfer(c) for c in tt.cores]
-        elif kind == "dense":
-            self.wl = self.wr = None
-        else:
-            raise ValueError(f"unknown trial kind {kind!r}")
+        self.d = tt.d
+        self.wl = [left_transfer(c) for c in tt.cores]
+        self.wr = [right_transfer(c) for c in tt.cores]
 
     @classmethod
     def from_tt(cls, tt):
-        return cls("tt", tt.d, tt=tt)
+        return cls(tt)
 
     @classmethod
     def from_product(cls, phi):
@@ -140,33 +136,18 @@ class TrialHandle:
 
     @classmethod
     def from_dense(cls, vec):
-        vec = np.array(vec, dtype=np.float64)
-        d = int(round(np.log2(vec.size)))
-        if 2 ** d != vec.size:
-            raise ValueError(f"dense trial length {vec.size} is not a power of 2")
-        vec.flags.writeable = False
-        return cls("dense", d, dense_vec=vec)
+        return cls.from_tt(TensorTrain.from_dense(vec))
 
     def overlap(self, phi):
-        """<psi_tr, phi> by direct contraction (no cache).
-
-        A TT trial uses the ensemble cache's right-to-left sweep on a batch
-        of one.
-        """
-        if phi.d != self.d:
-            raise DimensionMismatchError(f"trial d={self.d}, state d={phi.d}")
-        if self.kind == "tt":
-            return float(product_overlaps(self.wr, list(phi.sites[:, None, :]))[0])
-        return float(self.dense_vec @ phi.to_dense())
+        """<psi_tr, phi> by direct contraction (no cache)."""
+        return tt_product_overlap(self.tt, phi)
 
     def to_dense(self, cap=20):
-        if self.kind == "dense":
-            return np.asarray(self.dense_vec).copy()
         return tt_to_dense(self.tt, cap=cap)
 
     def as_product_sites(self):
         """Site vectors if this trial is separable (rank-1), else None."""
-        if self.kind != "tt" or any(r != 1 for r in self.tt.ranks):
+        if any(r != 1 for r in self.tt.ranks):
             return None
         return np.stack([c.reshape(2) for c in self.tt.cores])
 
@@ -289,67 +270,6 @@ class _TTCache:
         return e[1, 0] - e[1, 1]
 
 
-class _DenseCache:
-    """Kronecker-expansion overlap machinery for a dense-vector trial."""
-
-    def __init__(self, handle, sites):
-        self.handle = handle
-        self.sites = sites
-        self.d = handle.d
-        self.psi = handle.dense_vec
-        states = np.arange(2 ** self.d)
-        self.bits = [((states >> (self.d - 1 - m)) & 1) for m in range(self.d)]
-        self._flips = {}
-        self.vec = None
-
-    def _ensure_vec(self):
-        if self.vec is None:
-            v = self.sites[0]
-            for m in range(1, self.d):
-                v = (v[:, :, None] * self.sites[m][:, None, :]).reshape(v.shape[0], -1)
-            self.vec = v
-
-    def note_all_changed(self):
-        self.vec = None
-
-    def overlaps(self):
-        self._ensure_vec()
-        return self.vec @ self.psi
-
-    def bond_overlaps(self, p, q, factors):
-        self._ensure_vec()
-        fac_p, fac_q = factors[:2]
-        return np.array(
-            [
-                self.vec @ (self.psi * fac_p[x][self.bits[p]] * fac_q[x][self.bits[q]])
-                for x in (0, 1)
-            ]
-        )
-
-    def apply_bond(self, p, q, fp, fq):
-        if self.vec is not None:
-            self.vec = self.vec * (fp[:, self.bits[p]] * fq[:, self.bits[q]])
-
-    def ensure_measure(self):
-        self._ensure_vec()
-
-    def sigma_x_overlaps(self, m):
-        if m not in self._flips:
-            states = np.arange(2 ** self.d)
-            self._flips[m] = self.psi[states ^ (1 << (self.d - 1 - m))]
-        return self.vec @ self._flips[m]
-
-    def zz_overlaps(self, p, q):
-        sgn = (1.0 - 2.0 * self.bits[p]) * (1.0 - 2.0 * self.bits[q])
-        return self.vec @ (self.psi * sgn)
-
-
-def _make_cache(handle, sites):
-    if handle.kind == "tt":
-        return _TTCache(handle, sites)
-    return _DenseCache(handle, sites)
-
-
 class Ensemble:
     """A fixed-size walker population, stored struct-of-arrays.
 
@@ -425,7 +345,7 @@ class Ensemble:
     def attach(self, trial):
         """Bind (or reuse) the overlap cache for this trial."""
         if self._cache is None or self._trial is not trial:
-            self._cache = _make_cache(trial, self.sites)
+            self._cache = _TTCache(trial, self.sites)
             self._trial = trial
         return self._cache
 
@@ -508,17 +428,6 @@ def _sample_bond_kernel(ens, cache, p, q, factors, uniforms, alive, all_alive):
     ens.sites[q] = ens.sites[q] * fq
     cache.apply_bond(p, q, fp, fq)
     return act
-
-
-def apply_one_body(walker, trial, propagators):
-    """Deterministic half-step on a single walker; returns the new walker."""
-    if walker.weight <= 0.0:
-        return Walker(walker.state, walker.weight, walker.overlap)
-    ens = Ensemble.from_walkers([walker])
-    cache = ens.attach(trial)
-    alive = ens.alive
-    _one_body_pass(ens, cache, propagators.one_body_half, alive, True, normalize=False)
-    return ens.walker(0)
 
 
 def sample_bond(walker, bond, trial, propagators, rng):

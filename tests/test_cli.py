@@ -145,6 +145,8 @@ class TestCmdRun:
             ({"lattice_kind": "triangular"}, "lattice_kind"),
             ({"g": 1e308}, "g"),
             ({"dtau": 500.0}, "dtau"),
+            ({"measure_every": 0}, "measure_every"),
+            ({"total_steps": 100, "sketch_stop_step": 200}, "sketch_stop_step"),
         ],
     )
     def test_bad_config_exit_2_names_field(self, tmp_path, capsys, overrides, field):

@@ -6,12 +6,10 @@ from ttqmc.errors import ConfigError, DeadEnsembleError, WeightError, ZeroOverla
 from ttqmc.oracle import exact_ground
 from ttqmc.qmc_driver import (
     EnergyTrace,
-    Schedule,
     blocking_error,
     default_trial,
     fidelity,
     g_sweep,
-    local_energy,
     mixed_energy,
     run,
 )
@@ -37,6 +35,31 @@ def quick_config(**kw):
     )
     base.update(kw)
     return RunConfig(**base)
+
+
+def local_energy(trial, walker, lattice, g):
+    """<psi_tr, H phi> / <psi_tr, phi> for a single walker, term by term.
+
+    An oracle for ``_batch_local_energies``: every term is a direct
+    ``trial.overlap`` of one modified product state, with no cache.
+    """
+    den = trial.overlap(walker.state)
+    if den == 0.0:
+        raise ZeroOverlapError("trial-walker overlap is zero")
+    sites = walker.state.sites
+    sx = 0.0
+    for m in range(walker.state.d):
+        flipped = sites.copy()
+        flipped[m] = sites[m, ::-1]
+        sx += trial.overlap(ProductState(flipped))
+    zz = 0.0
+    sign = np.array([1.0, -1.0])
+    for p, q in lattice.chain_bonds:
+        mod = sites.copy()
+        mod[p] = sites[p] * sign
+        mod[q] = sites[q] * sign
+        zz += trial.overlap(ProductState(mod))
+    return (-g * sx - zz) / den
 
 
 class TestLocalEnergy:
@@ -203,13 +226,7 @@ class TestFidelity:
         assert fidelity(trial, -7.3 * trial.to_dense()) == 1.0
 
 
-class TestSchedule:
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            Schedule(dtau=0.01, total_steps=100, measure_every=0)
-        with pytest.raises(ConfigError):
-            Schedule(dtau=0.01, total_steps=100, sketch_stop_step=200)
-
+class TestEnergyTrace:
     def test_trace_steps_strictly_increasing(self):
         with pytest.raises(ValueError):
             EnergyTrace(

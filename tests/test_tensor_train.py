@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from ttqmc.errors import DenseCapError, DimensionMismatchError
+from ttqmc.oracle import exact_ground
+from ttqmc.spin_model import build_lattice
 from ttqmc.tensor_train import (
     ProductState,
     TensorTrain,
@@ -162,6 +164,32 @@ class TestToDense:
             assert tt_product_overlap(tt, phi) == pytest.approx(
                 dense @ phi.to_dense(), rel=1e-12
             )
+
+
+class TestFromDense:
+    @staticmethod
+    def _assert_exact(v):
+        tt = TensorTrain.from_dense(v)
+        d = tt.d
+        assert 2 ** d == v.size
+        assert tt.ranks == tuple(min(2 ** c, 2 ** (d - c)) for c in range(1, d))
+        err = np.linalg.norm(tt_to_dense(tt) - v)
+        assert err <= 1e-13 * np.linalg.norm(v)
+
+    def test_random_vectors_reproduced(self, rng):
+        for d in range(1, 11):
+            self._assert_exact(rng.standard_normal(2 ** d))
+
+    def test_exact_ground_state_reproduced(self):
+        sol = exact_ground(build_lattice("chain", (8,), "open"), 1.0)
+        self._assert_exact(sol.ground_state)
+
+    @pytest.mark.parametrize(
+        "vec", [np.ones(6), np.ones((4, 4))], ids=["length-6", "2-D"]
+    )
+    def test_bad_shape_rejected(self, vec):
+        with pytest.raises(ValueError):
+            TensorTrain.from_dense(vec)
 
 
 class TestSerialization:

@@ -19,7 +19,6 @@ from ttqmc.walker_engine import (
     Ensemble,
     TrialHandle,
     Walker,
-    apply_one_body,
     comb_copy_counts,
     population_control,
     reanchor_overlaps,
@@ -38,6 +37,17 @@ def uniform_trial(d):
 def positive_walker(rng, d, trial):
     state = random_positive_product(rng, d)
     return Walker(state=state, weight=1.0, overlap=trial.overlap(state))
+
+
+def apply_one_body(walker, trial, propagators):
+    """The half one-body propagator on a single walker, site vectors unscaled."""
+    ens = Ensemble.from_walkers([walker])
+    cache = ens.attach(trial)
+    alive = ens.alive
+    walker_engine._one_body_pass(
+        ens, cache, propagators.one_body_half, alive, bool(alive.all()), normalize=False
+    )
+    return ens.walker(0)
 
 
 class TestApplyOneBody:
