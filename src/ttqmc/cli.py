@@ -24,6 +24,9 @@ from .qmc_driver import fidelity, g_sweep, run
 from .spin_model import analytic_chain_energy
 from .tensor_train import save_tt
 
+# Read at import, as the BLAS reads them once when it loads.
+_BLAS_THREADS = {v: os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
 
 def _atomic_write_text(path, text):
     tmp = f"{path}.tmp.{os.getpid()}"
@@ -62,9 +65,10 @@ def _reference(config, lattice):
     return energy, vec
 
 
-def _summary_payload(config, trace, reference_energy, fid):
+def _summary_payload(config, trace, reference_energy, fid, blas_threads):
     out = {
         "config": config.echo(),
+        "blas_threads": blas_threads,
         "energy_mean": trace.mean,
         "energy_stderr": trace.stderr,
         "n_measurements": int(trace.steps.size),
@@ -90,7 +94,7 @@ def cmd_run(config):
 
     os.makedirs(config.out_dir, exist_ok=True)
     _atomic_write_text(os.path.join(config.out_dir, "trace.csv"), trace.to_csv())
-    summary = _summary_payload(config, trace, reference_energy, fid)
+    summary = _summary_payload(config, trace, reference_energy, fid, _BLAS_THREADS)
     _atomic_write_text(
         os.path.join(config.out_dir, "summary.json"),
         json.dumps(summary, indent=2, sort_keys=True) + "\n",

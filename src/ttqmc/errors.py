@@ -47,20 +47,22 @@ class DeadEnsembleError(TtqmcError):
 
 
 class WeightError(TtqmcError):
-    """A walker weight the comb or the mixed estimator needs is non-finite or negative.
+    """A walker weight is non-finite or negative, or an overlap non-finite.
 
-    ``diagnostics`` holds the step and the first bad walker with its weight
-    (walker None when every weight is finite but their sum overflows); the
-    message already names all three.
+    Raised by a step, the comb and the mixed estimator.  ``diagnostics``
+    holds the step and the first bad walker with its bad ``quantity``
+    ("weight" or "overlap"; walker None when every weight is finite but
+    their sum overflows); the message already names all three.
     """
 
-    def __init__(self, step, walker, weight, user):
+    def __init__(self, step, walker, value, user, quantity="weight"):
         if walker is None:
-            msg = f"walker weights sum to {weight!r} at step {step}"
+            msg = f"walker weights sum to {value!r} at step {step}"
         else:
-            msg = f"walker {walker} has weight {weight!r} at step {step}"
-        super().__init__(f"{msg}; {user} needs finite, non-negative weights")
-        self.diagnostics = {"step": step, "walker": walker, "weight": weight}
+            msg = f"walker {walker} has {quantity} {value!r} at step {step}"
+        need = "finite overlaps" if quantity == "overlap" else "finite, non-negative weights"
+        super().__init__(f"{msg}; {user} needs {need}")
+        self.diagnostics = {"step": step, "walker": walker, quantity: value}
 
 
 class EigensolverError(TtqmcError):

@@ -27,12 +27,15 @@ with A_0 = c and B_d = 1.  In exact arithmetic this is the
 solve-then-truncate fit: G_m = X_m^+ Y_m from the sketched data Y_m, with
 the leading right singular vectors of X_m and X_{m+1} contracted in.
 
-The right partials are built first into one buffer; the left partial
-streams through one buffer, advanced in place.  A site step is one GEMM
-with the core's stacked transfer matrix into a scratch buffer and one
-``einsum`` that weights and sums the two physical halves into the output.  The two walker-reducing products, X_c and the core contraction,
-are summed over fixed blocks of walkers in a fixed order, so the fitted
-cores do not depend on the BLAS thread count.
+The partials are walker-first, (n_walkers, rank), so the sweep reads the
+ensemble's (d, 2, n_walkers) sites through one transposed copy.  The
+right partials are built first into one buffer; the left partial streams
+through one buffer, advanced in place.  A site step is one GEMM with the
+core's stacked transfer matrix into a scratch buffer and one ``einsum``
+that weights and sums the two physical halves into the output.  The two
+walker-reducing products, X_c and the core contraction, are summed over
+fixed blocks of walkers in a fixed order, so the fitted cores do not
+depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, RankZeroError, SketchFitError
 from .tensor_train import TensorTrain, right_transfer
+from .walker_engine import Ensemble
 
 # Relative singular-value cutoff for the per-core least-squares solves.
 LS_CUTOFF = 1e-12
@@ -150,25 +154,17 @@ def validate_target_ranks(target_ranks, d, sketch_rank):
 
 
 def _ensemble_arrays(walkers):
-    """Site arrays and coefficients c_k = w_k / O_tr(phi_k), zero weights dropped.
+    """Walker-first sites (d, n_kept, 2) and coefficients c_k = w_k / O_tr(phi_k).
 
-    A non-finite or negative weight, a positive weight with a non-positive
-    overlap, or a non-finite coefficient raises SketchFitError naming the
-    walker.
+    The walker-last sites are transposed into contiguous (n_kept, 2) blocks
+    by one copy (two when a zero-weight walker is dropped).  A non-finite or
+    negative weight, a positive weight with a non-positive overlap, or a
+    non-finite coefficient raises SketchFitError naming the walker.
     """
-    if hasattr(walkers, "sites") and hasattr(walkers, "weight"):
-        walkers.require_settled("sketch_ensemble")
-        sites = walkers.sites
-        weight = np.asarray(walkers.weight, dtype=np.float64)
-        ovlp = np.asarray(walkers.ovlp, dtype=np.float64)
-    else:
-        walkers = list(walkers)
-        if not walkers:
-            raise ValueError("empty walker list")
-        d = walkers[0].state.d
-        sites = [np.stack([w.state.sites[m] for w in walkers]) for m in range(d)]
-        weight = np.array([w.weight for w in walkers])
-        ovlp = np.array([w.overlap for w in walkers])
+    if not isinstance(walkers, Ensemble):
+        walkers = Ensemble.from_walkers(list(walkers))
+    walkers.require_settled("sketch_ensemble")
+    weight, ovlp = walkers.weight, walkers.ovlp
     _reject_walkers(~np.isfinite(weight), weight, "non-finite walker weight w_k")
     _reject_walkers(weight < 0.0, weight, "negative walker weight")
     keep = weight > 0.0
@@ -178,7 +174,8 @@ def _ensemble_arrays(walkers):
     _reject_walkers(bad_ovlp, ovlp, "positive-weight walker with non-positive overlap")
     coeff = weight / np.where(keep, ovlp, 1.0)
     _reject_walkers(~np.isfinite(coeff), coeff, "non-finite walker coefficient w_k/O_k")
-    return [s[keep] for s in sites], coeff[keep]
+    sites = walkers.sites.transpose(0, 2, 1)
+    return np.ascontiguousarray(sites if keep.all() else sites[:, keep]), coeff[keep]
 
 
 def _reject_walkers(bad, values, what):

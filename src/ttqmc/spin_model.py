@@ -57,15 +57,6 @@ class Lattice:
         pairs = (tuple(sorted((order[i], order[j]))) for i, j in self.bonds)
         return tuple(sorted(pairs, key=lambda b: (b[1], -b[0])))
 
-    def describe(self):
-        return {
-            "kind": self.kind,
-            "dims": list(self.dims),
-            "boundary": self.boundary,
-            "d": self.d,
-            "n_bonds": len(self.bonds),
-        }
-
 
 def _snake_order(n0, n1):
     """Chain position of grid site (a, b); axis 0 is the fast (snaked) axis."""

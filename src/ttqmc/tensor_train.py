@@ -14,11 +14,13 @@ Cores are stored dense, double precision, read-only; no canonical form is
 maintained.  All operations here are pure.
 
 Contractions of a TT against a batch of n product states use one
-walker-last kernel: a partial contraction is an (r, n) array, and a site
-step splits over the physical index into the two halves
-``(C_i^T @ L) * v[:, i]`` (left) or ``(C_i @ R) * v[:, i]`` (right), one
-GEMM with the stacked transfer matrix.  Their sum is the partial through
-that site; bond and local-energy overlaps combine the halves separately.
+walker-last kernel.  The batch is one (d, 2, n) array whose row block
+``v = sites[m]`` (2, n) holds every state's site-m vector; a partial
+contraction is an (r, n) array, and a site step splits over the physical
+index into the two halves ``(C_i^T @ L) * v[i]`` (left) or
+``(C_i @ R) * v[i]`` (right), one GEMM with the stacked transfer matrix.
+Their sum is the partial through that site; bond and local-energy overlaps
+combine the halves separately.
 """
 
 from __future__ import annotations
@@ -163,15 +165,17 @@ def left_halves(L, wl, v):
     """Both physical halves of one left site step, walker-last.
 
     ``L`` (r, n) contracts the sites left of site m for n product states,
-    ``wl`` is ``left_transfer`` of core m and ``v`` the (n, 2) site-m
-    vectors.  Returns (2, r', n) with ``[i] = (C_i^T @ L) * v[:, i]``.
+    ``wl`` is ``left_transfer`` of core m and ``v`` the (2, n) site-m
+    vectors.  Returns (2, r', n) with ``[i] = (C_i^T @ L) * v[i]``.
     """
-    return (wl @ L).reshape(2, -1, L.shape[-1]) * v.T[:, None, :]
+    h = (wl @ L).reshape(2, -1, L.shape[-1])
+    h *= v[:, None, :]
+    return h
 
 
 def right_halves(R, wr, v):
-    """Right-side counterpart of ``left_halves``: ``[i] = (C_i @ R) * v[:, i]``."""
-    return (wr @ R).reshape(2, -1, R.shape[-1]) * v.T[:, None, :]
+    """Right-side counterpart of ``left_halves``: ``[i] = (C_i @ R) * v[i]``."""
+    return left_halves(R, wr, v)
 
 
 def advance_left(L, wl, v):
@@ -189,12 +193,14 @@ def advance_right(R, wr, v):
 def product_overlaps(wrs, sites):
     """<tt, phi_k> for a batch of product states, by one right-to-left sweep.
 
-    ``wrs`` holds ``right_transfer`` of every core, ``sites`` the (n, 2)
-    site vectors per site.  Cost O(d r^2 n).  The overlap cache of
-    ``walker_engine`` sweeps in the same direction, so stored and directly
-    computed overlaps share one contraction path.
+    ``wrs`` holds ``right_transfer`` of every core, ``sites`` the (d, 2, n)
+    site array.  Cost O(d r^2 n).  The overlap cache of ``walker_engine``
+    sweeps in the same direction, so stored and directly computed overlaps
+    share one contraction path.
     """
-    R = np.ones((1, sites[0].shape[0]))
+    if len(wrs) != len(sites):
+        raise DimensionMismatchError(f"tt has d={len(wrs)}, product states have d={len(sites)}")
+    R = np.ones((1, sites.shape[-1]))
     for wr, v in zip(reversed(wrs), reversed(sites)):
         R = advance_right(R, wr, v)
     return R[0]
@@ -205,10 +211,8 @@ def tt_product_overlap(tt, phi):
 
     Cost is O(d r^2); exact up to floating-point rounding.
     """
-    if tt.d != phi.d:
-        raise DimensionMismatchError(f"tt has d={tt.d}, product state has d={phi.d}")
     wrs = [right_transfer(c) for c in tt.cores]
-    return float(product_overlaps(wrs, list(phi.sites[:, None, :]))[0])
+    return float(product_overlaps(wrs, phi.sites[:, :, None])[0])
 
 
 def tt_tt_overlap(a, b):

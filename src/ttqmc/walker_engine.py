@@ -13,7 +13,9 @@ second half one-body propagator:
                which is independent of the sampled x.
 
 A walker whose overlap becomes non-positive is killed (weight 0) and stays
-inert: never propagated, never counted.
+inert: never propagated, never counted.  A step that leaves a non-finite
+or negative weight, or a non-finite overlap, raises WeightError naming
+the step and the first bad walker.
 
 Between two steps that nothing observes, the trailing half of one step and
 the leading half of the next are one full propagator, B_half B_half =
@@ -26,15 +28,15 @@ Observers (``mixed_energy``, ``population_control``, ``reanchor_overlaps``,
 Every one-body pass rescales the site vectors to unit norm; the
 represented ensemble sum_k w_k phi_k / O_tr(phi_k) is invariant under that.
 
-The ensemble is stored struct-of-arrays (one (n_walkers, 2) array per chain
-position) so every update is vectorized over walkers.  Every trial is a
-tensor train (``TrialHandle``), and every overlap goes through the
-walker-last kernel of ``tensor_train``: partial contractions are
+The site vectors are one C-contiguous (d, 2, n_walkers) array, walker-last,
+that every update writes in place and the overlap cache shares.  Every
+trial is a tensor train (``TrialHandle``), and every overlap goes through
+the walker-last kernel of ``tensor_train``: partial contractions are
 (rank, n_walkers) arrays, and a site step is one GEMM with the core's
 stacked transfer matrix followed by the two physical halves
-(C_i^T L) * v[:, i].  Overlaps are contracted right to left, in the cache
-and in ``TrialHandle.overlap`` (``tt_product_overlap``, the same sweep on
-a batch of one), so stored and directly computed overlaps share one path.
+(C_i^T L) * sites[m][i].  Overlaps are contracted right to left, in the
+cache and in ``TrialHandle.overlap`` (``product_overlaps`` on a batch of
+one), so stored and directly computed overlaps share one path.
 
 A bond at chain positions (p, q) yields both field overlaps from one pass:
 the sum and the difference of the site-p halves (the difference is sigma^z
@@ -54,12 +56,9 @@ without recomputing them.
 
 Randomness comes from counter-based Philox streams keyed by (seed,
 purpose, step): one draw per step gives the uniforms of every bond and
-walker, so trajectories are reproducible for a fixed seed.  Across BLAS
-thread counts the tests check two cases, each at 1 and at 2 OpenBLAS
-threads: one ``sketch_ensemble`` of 2000 walkers at d=32 gives the same
-core bytes, and one ``ttqmc run`` (d=16 periodic chain, 2000 walkers, 20
-steps, re-anchored at steps 10 and 20) writes the same ``trace.csv`` and
-``trial.tt`` bytes.
+walker, so trajectories are reproducible for a fixed seed; the tests
+check that a re-anchored d=16 run writes the same bytes at 1 and at 2
+OpenBLAS threads.
 """
 
 from __future__ import annotations
@@ -79,16 +78,14 @@ from .tensor_train import (
     advance_left,
     left_halves,
     left_transfer,
+    product_overlaps,
     right_halves,
     right_transfer,
-    tt_product_overlap,
     tt_to_dense,
 )
 
 _PURPOSE_BOND = 1
 _PURPOSE_POP = 2
-
-_PAIR_SUM = np.ones(2)  # (n, 2) @ _PAIR_SUM sums each row, as one GEMV
 
 
 def stream(seed, purpose, step=0):
@@ -139,8 +136,8 @@ class TrialHandle:
         return cls.from_tt(TensorTrain.from_dense(vec))
 
     def overlap(self, phi):
-        """<psi_tr, phi> by direct contraction (no cache)."""
-        return tt_product_overlap(self.tt, phi)
+        """<psi_tr, phi> by direct contraction (no cache), through ``wr``."""
+        return float(product_overlaps(self.wr, phi.sites[:, :, None])[0])
 
     def to_dense(self, cap=20):
         return tt_to_dense(self.tt, cap=cap)
@@ -174,9 +171,9 @@ class _TTCache:
 
     def __init__(self, handle, sites):
         self.handle = handle
-        self.sites = sites  # shared list owned by the Ensemble
+        self.sites = sites  # the Ensemble's (d, 2, n) array, shared
         d = handle.d
-        n = sites[0].shape[0]
+        n = sites.shape[-1]
         self.left = [None] * (d + 1)
         self.left[0] = np.ones((1, n))
         self.rhalf = [None] * d
@@ -245,14 +242,14 @@ class _TTCache:
         np.einsum("rn,jrn->jn", diff, b, out=e[1])
         return h, e
 
-    def bond_overlaps(self, p, q, factors):
+    def bond_overlaps(self, p, q, pair):
         """Rows <psi, b(+1) phi_k> and <psi, b(-1) phi_k> for the bond at (p, q)."""
         self._halves, e = self._bond_dots(p, q)
-        return factors[2] @ e.reshape(4, -1)
+        return pair @ e.reshape(4, -1)
 
-    def apply_bond(self, p, q, fp, fq):
-        """Store left[p+1] for the applied site-p factors ``fp`` (n, 2)."""
-        self.left[p + 1] = np.einsum("irn,in->rn", self._halves, np.ascontiguousarray(fp.T))
+    def apply_bond(self, p, q, fp):
+        """Store left[p+1] for the applied site-p factors ``fp`` (2, n)."""
+        self.left[p + 1] = np.einsum("irn,in->rn", self._halves, fp)
         self._halves = None
         self.lv = p + 1
         self.rv = max(self.rv, q + 1)
@@ -262,7 +259,7 @@ class _TTCache:
         self.ensure_right(0)
 
     def sigma_x_overlaps(self, m):
-        flipped = advance_left(self.left[m], self.handle.wl[m], self.sites[m][:, ::-1])
+        flipped = advance_left(self.left[m], self.handle.wl[m], self.sites[m][::-1])
         return np.einsum("rn,rn->n", flipped, self.right(m + 1))
 
     def zz_overlaps(self, p, q):
@@ -273,17 +270,22 @@ class _TTCache:
 class Ensemble:
     """A fixed-size walker population, stored struct-of-arrays.
 
-    ``sites[m]`` is the (n_walkers, 2) array of site-m vectors, ``weight``
-    and ``ovlp`` the per-walker weight and cached trial overlap.  ``step``
-    counts completed imaginary-time steps; ``seed`` keys the random streams.
-    ``pending_half`` is set while the last step's trailing half one-body
-    propagator is still owed (see ``step``); observers refuse that state.
+    ``sites[m, :, k]`` is walker k's site-m vector; every writer updates
+    the (d, 2, n_walkers) ``sites`` in place, since the overlap cache shares
+    it.  ``weight`` and ``ovlp`` are the per-walker weight and cached trial
+    overlap.  ``step`` counts completed imaginary-time steps; ``seed`` keys
+    the random streams.  ``pending_half`` is set while the last step's
+    trailing half one-body propagator is still owed (see ``step``);
+    observers refuse that state.
     """
 
     def __init__(self, sites, weight, ovlp, seed, step=0):
-        self.sites = [np.array(s, dtype=np.float64) for s in sites]
+        self.sites = np.array(sites, dtype=np.float64, order="C")
         self.weight = np.array(weight, dtype=np.float64)
         self.ovlp = np.array(ovlp, dtype=np.float64)
+        n = self.weight.shape[0]
+        if self.sites.ndim != 3 or self.sites.shape[1:] != (2, n):
+            raise ValueError(f"expected a (d, 2, {n}) site array, got shape {self.sites.shape}")
         self.seed = int(seed)
         self.step = int(step)
         self.reanchor_kill_counts = []
@@ -297,7 +299,7 @@ class Ensemble:
         psites = trial.as_product_sites()
         if psites is None:
             raise ValueError("initial walkers need a separable (rank-1) trial")
-        sites = [np.tile(psites[m], (n_walkers, 1)) for m in range(psites.shape[0])]
+        sites = np.broadcast_to(psites[:, :, None], psites.shape + (n_walkers,))
         ens = cls(sites, np.ones(n_walkers), np.empty(n_walkers), seed)
         cache = ens.attach(trial)
         ens.ovlp = np.maximum(cache.overlaps(), 0.0)
@@ -307,15 +309,8 @@ class Ensemble:
 
     @classmethod
     def from_walkers(cls, walkers, seed=0, step=0):
-        d = walkers[0].state.d
-        sites = [np.stack([w.state.sites[m] for w in walkers]) for m in range(d)]
-        return cls(
-            sites,
-            [w.weight for w in walkers],
-            [w.overlap for w in walkers],
-            seed,
-            step,
-        )
+        sites = np.stack([w.state.sites for w in walkers], axis=-1)
+        return cls(sites, [w.weight for w in walkers], [w.overlap for w in walkers], seed, step)
 
     @property
     def n_walkers(self):
@@ -336,7 +331,7 @@ class Ensemble:
 
     def walker(self, k):
         self.require_settled("Ensemble.walker")
-        state = ProductState(np.stack([self.sites[m][k] for m in range(self.d)]))
+        state = ProductState(self.sites[:, :, k])
         return Walker(state=state, weight=float(self.weight[k]), overlap=float(self.ovlp[k]))
 
     def walkers(self):
@@ -351,30 +346,26 @@ class Ensemble:
 
 
 def _write_masked(arr, mask, all_true, values):
-    if all_true:
-        return values
-    return np.where(mask if values.ndim == 1 else mask[:, None], values, arr)
+    """``values`` where the walker mask is set, else ``arr`` (walker axis last)."""
+    return values if all_true else np.where(mask, values, arr)
 
 
-def _one_body_pass(ens, cache, B, alive, all_alive, normalize=True):
+def _one_body_pass(ens, cache, B, alive, all_alive):
     """phi <- B phi for alive walkers; weight by the overlap ratio.
 
-    ``B`` is the half or the full one-body propagator.  With ``normalize``
-    the site vectors are rescaled to unit norm and the norms folded into the
+    ``B`` is the half or the full one-body propagator, applied to every site
+    of every walker by one matmul.  The site vectors are rescaled to unit
+    norm and the product of the norms (taken in site order) folded into the
     weight.  The fresh overlaps come from the cache's right-to-left sweep,
     which leaves every right environment valid for the bond pass.
     """
-    scale = np.ones(ens.n_walkers)
-    for m in range(ens.d):
-        new = ens.sites[m] @ B
-        if normalize:
-            norms = np.sqrt(np.square(new) @ _PAIR_SUM)
-            scale *= norms
-            new = new / norms[:, None]
-        ens.sites[m] = _write_masked(ens.sites[m], alive, all_alive, new)
+    new = np.matmul(B.T, ens.sites)
+    norms = np.sqrt(np.square(new).sum(axis=1))
+    scale = np.prod(norms, axis=0)
+    new /= norms[:, None, :]
+    ens.sites[...] = _write_masked(ens.sites, alive, all_alive, new)
     cache.note_all_changed()
-    fresh = cache.overlaps()
-    fresh = np.maximum(fresh, 0.0)
+    fresh = np.maximum(cache.overlaps(), 0.0)
     old = np.where(ens.ovlp > 0.0, ens.ovlp, 1.0)
     ratio = fresh * scale / old
     ens.weight = _write_masked(ens.weight, alive, all_alive, ens.weight * ratio)
@@ -382,12 +373,13 @@ def _one_body_pass(ens, cache, B, alive, all_alive, normalize=True):
 
 
 def _bond_factors(prop):
-    """Diagonal HS factors of a bond: (fac_p, fac_q, pair), built once per step.
+    """Diagonal HS factors of a bond: (fac, pair), built once per step.
 
-    ``fac_p`` and ``fac_q`` are (3, 2) site factors: row 0 is the field
-    x = +1, row 1 is x = -1 and row 2 is all ones, the "no update" row for
-    walkers a bond leaves unchanged.  The bond prefactor exp(-dtau) is folded
-    into the site-p factors.  ``pair`` (2, 4) maps the four dots of
+    ``fac`` (4, 3) holds the site-p factors in rows 0-1 and the site-q
+    factors in rows 2-3: column 0 is the field x = +1, column 1 is x = -1
+    and column 2 is all ones, the "no update" column for walkers a bond
+    leaves unchanged.  The bond prefactor exp(-dtau) is folded into the
+    site-p factors.  ``pair`` (2, 4) maps the four dots of
     ``_TTCache._bond_dots`` to the two field overlaps: it is the site-p
     factors in the (sum, difference) basis of the halves times the site-q
     factors.
@@ -397,17 +389,20 @@ def _bond_factors(prop):
     fac_p[:2] *= prop.bond_prefactor
     sum_diff = fac_p[:2] @ np.array([[0.5, 0.5], [0.5, -0.5]])
     pair = (sum_diff[:, :, None] * fac_q[:2, None, :]).reshape(2, 4)
-    return fac_p, fac_q, pair
+    return np.concatenate((fac_p.T, fac_q.T)), pair
 
 
 def _sample_bond_kernel(ens, cache, p, q, factors, uniforms, alive, all_alive):
     """One stochastic bond update, vectorized over walkers.
 
-    ``factors`` is the triple of ``_bond_factors``.  Returns the updated
-    alive mask (walkers with both field overlaps non-positive are killed).
+    ``factors`` is the pair of ``_bond_factors``.  Returns the updated
+    alive mask (walkers with both field overlaps non-positive are killed)
+    and whether it is all set; a NaN sum kills with a NaN overlap, named by
+    the step's check.
     """
-    fac_p, fac_q, _ = factors
-    o = np.maximum(cache.bond_overlaps(p, q, factors), 0.0)
+    fac, pair = factors
+    o = cache.bond_overlaps(p, q, pair)
+    np.maximum(o, 0.0, out=o)
     tot = o[0] + o[1]
     sel_minus = uniforms * tot >= o[0]
     act = alive & (tot > 0.0)
@@ -420,14 +415,14 @@ def _sample_bond_kernel(ens, cache, p, q, factors, uniforms, alive, all_alive):
     if not all_act:
         field[~act] = 2
         ens.weight = np.where(alive & ~act, 0.0, ens.weight)
+        ens.ovlp = np.where(alive & np.isnan(tot), np.nan, ens.ovlp)
     ens.ovlp = _write_masked(ens.ovlp, act, all_act, np.where(sel_minus, o[1], o[0]))
 
-    fp = np.take(fac_p, field, axis=0)
-    fq = np.take(fac_q, field, axis=0)
-    ens.sites[p] = ens.sites[p] * fp
-    ens.sites[q] = ens.sites[q] * fq
-    cache.apply_bond(p, q, fp, fq)
-    return act
+    f = fac.take(field, axis=1)  # the site-p factors, then the site-q ones
+    ens.sites[p] *= f[:2]
+    ens.sites[q] *= f[2:]
+    cache.apply_bond(p, q, f[:2])
+    return act, all_act
 
 
 def sample_bond(walker, bond, trial, propagators, rng):
@@ -442,19 +437,22 @@ def sample_bond(walker, bond, trial, propagators, rng):
     return ens.walker(0)
 
 
+@np.errstate(all="ignore")
 def step(ensemble, trial, lattice, propagators, settle=True):
     """Advance every positive-weight walker one imaginary-time step.
 
     With ``settle=False`` the trailing half one-body propagator is owed
     (``ensemble.pending_half``): the next step opens with one full one-body
     propagator in place of the two halves.  Observers refuse a pending
-    ensemble, so the last step before one must settle.
+    ensemble, so the last step before one must settle.  Floating-point
+    errors raise no NumPy warning; the finished step is checked instead,
+    and a non-finite or negative weight, an overflowing weight sum or a
+    non-finite overlap raises WeightError naming the step (and the first
+    bad walker).
     """
     alive = ensemble.alive
     if not alive.any():
-        raise DeadEnsembleError(
-            "all walkers dead before step", {"step": ensemble.step}
-        )
+        raise DeadEnsembleError("all walkers dead before step", {"step": ensemble.step})
     all_alive = bool(alive.all())
     cache = ensemble.attach(trial)
     factors = _bond_factors(propagators)
@@ -470,8 +468,7 @@ def step(ensemble, trial, lattice, propagators, settle=True):
         (len(bonds), ensemble.n_walkers)
     )
     for (p, q), u in zip(bonds, uniforms):
-        alive = _sample_bond_kernel(ensemble, cache, p, q, factors, u, alive, all_alive)
-        all_alive = bool(alive.all())
+        alive, all_alive = _sample_bond_kernel(ensemble, cache, p, q, factors, u, alive, all_alive)
 
     if settle:
         _one_body_pass(ensemble, cache, propagators.one_body_half, alive, all_alive)
@@ -479,6 +476,10 @@ def step(ensemble, trial, lattice, propagators, settle=True):
         ensemble.pending_half = True
 
     ensemble.step += 1
+    checked_weight_sum(ensemble, "propagation")
+    bad = np.flatnonzero(~np.isfinite(ensemble.ovlp))
+    if bad.size:
+        raise WeightError(ensemble.step, int(bad[0]), float(ensemble.ovlp[bad[0]]), "propagation", "overlap")
     if not ensemble.alive.any():
         raise DeadEnsembleError("all walkers died during step", {"step": ensemble.step})
     return ensemble
@@ -525,8 +526,8 @@ def population_control(ensemble, rng):
         raise DeadEnsembleError("population control with no positive weight")
     copies = comb_copy_counts(w * (n / total), float(rng.random()))
     src = np.repeat(np.arange(n), copies)
-    for m in range(ensemble.d):
-        ensemble.sites[m] = ensemble.sites[m][src]
+    # in its default mode np.take buffers ``out``, so it may overwrite its input
+    np.take(ensemble.sites, src, axis=2, out=ensemble.sites)
     ensemble.ovlp = ensemble.ovlp[src]
     ensemble.weight = np.ones(n)
     if ensemble._cache is not None:

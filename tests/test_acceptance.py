@@ -291,7 +291,7 @@ def test_criterion_11_linear_cost_in_d():
         lat = build_lattice("chain", (d,), "periodic")
         ens = Ensemble.from_trial_product(default_trial(d), 2000, seed=1)
         for m in range(d):
-            ens.sites[m] = np.exp(0.3 * rng.standard_normal((2000, 2)))
+            ens.sites[m] = np.exp(0.3 * rng.standard_normal((2000, 2))).T
         pair = make_sketch_pair(d, 60, 0.1, seed=5)
         ranks = RunConfig().target_ranks(d)
         sketch_times, overlap_times = [], []

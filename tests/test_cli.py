@@ -165,19 +165,21 @@ class TestCmdRun:
         assert cli.main(["run", "--config", cfg_path, "--out-dir", str(tmp_path / "out")]) == 3
         assert "cross matrix at cut 1 failed: SVD did not converge" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_weights_exit_3_names_walker(self, tmp_path, capsys):
         # at g = 20, dtau = 0.1 every step multiplies the weights by about
-        # exp(dtau g d) = e^16, so they overflow before the first comb
+        # exp(dtau g d) = e^16, so they overflow at step 45, long before the
+        # first comb; the step that overflows names it, without a NumPy
+        # overflow warning
         cfg_path = write_config(
             tmp_path, lattice_dims=[8], g=20.0, dtau=0.1, n_walkers=8, total_steps=60,
             measure_every=100, popcontrol_every=60, reanchor=False,
         )
         assert cli.main(["run", "--config", cfg_path, "--out-dir", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err
-        assert "has weight inf at step 60" in err
+        assert "has weight inf at step 45" in err
         # the step is named once, not again in a repeated context dict
-        assert len(re.findall(r"step'?:? 60\b", err)) == 1
+        assert len(re.findall(r"step'?:? 45\b", err)) == 1
         assert "died" not in err
 
     def test_failed_analytic_check_exit_3_names_d(self, tmp_path, capsys, monkeypatch):
@@ -216,6 +218,21 @@ class TestCmdRun:
         code = "import sys, ttqmc.cli; sys.exit('scipy' in sys.modules)"
         env = dict(os.environ, PYTHONPATH=src)
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+    def test_summary_records_blas_thread_settings(self, tmp_path):
+        # the settings the process started with, which the BLAS read at load
+        cfg_path = write_config(tmp_path, total_steps=0, sketch_stop_step=0, equilibration_steps=0)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="3")
+        env.pop("OMP_NUM_THREADS", None)
+        argv = ["run", "--config", cfg_path, "--out-dir", str(tmp_path / "out")]
+        subprocess.run(
+            [sys.executable, "-m", "ttqmc.cli", *argv], env=env, capture_output=True, check=True, timeout=120,
+        )
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["blas_threads"] == {
+            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": "3",
+        }
 
     def test_missing_config_exit_2(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "nope.json")]) == 2

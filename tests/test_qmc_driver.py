@@ -113,7 +113,7 @@ class TestMixedEnergy:
         trial = default_trial(3)
         ens = Ensemble.from_trial_product(trial, 2, seed=0)
         for m in range(3):
-            ens.sites[m][1] = np.abs(rng.standard_normal(2)) + 0.3
+            ens.sites[m][:, 1] = np.abs(rng.standard_normal(2)) + 0.3
         cache = ens.attach(trial)
         cache.note_all_changed()
         ens.ovlp = np.maximum(cache.overlaps(), 0.0)
@@ -141,7 +141,7 @@ class TestMixedEnergy:
         trial = TrialHandle.from_dense(sol.ground_state)
         ens = Ensemble.from_trial_product(default_trial(4), 15, seed=4)
         for m in range(4):
-            ens.sites[m] = np.abs(rng.standard_normal((15, 2))) + 0.2
+            ens.sites[m] = (np.abs(rng.standard_normal((15, 2))) + 0.2).T
         reanchor_overlaps(ens, trial)
         assert mixed_energy(ens, trial, lat, 1.0) == pytest.approx(sol.energy, abs=1e-10)
 

@@ -359,7 +359,7 @@ class TestOneSweepFit:
             "from ttqmc.walker_engine import Ensemble\n"
             "d, n = 32, 2000\n"
             "rng = np.random.default_rng(11)\n"
-            "sites = [rng.standard_normal((n, 2)) for _ in range(d)]\n"
+            "sites = rng.standard_normal((d, n, 2)).transpose(0, 2, 1)\n"
             "ens = Ensemble(sites, rng.random(n) + 0.5, rng.random(n) + 0.5, seed=0)\n"
             "ranks = [2] + [4] * (d - 3) + [2]\n"
             "tt = sketch_ensemble(ens, make_sketch_pair(d, 60, 0.1, seed=5), ranks)\n"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from ttqmc.tensor_train import (
     TensorTrain,
     advance_left,
     advance_right,
+    product_overlaps,
     right_halves,
     tt_to_dense,
 )
@@ -40,14 +43,19 @@ def positive_walker(rng, d, trial):
 
 
 def apply_one_body(walker, trial, propagators):
-    """The half one-body propagator on a single walker, site vectors unscaled."""
+    """The half one-body propagator on a single walker, site vectors unscaled.
+
+    The pass normalizes the site vectors and folds their norms into the
+    weight; the unscaled vectors and their overlap are restored here.
+    """
     ens = Ensemble.from_walkers([walker])
-    cache = ens.attach(trial)
     alive = ens.alive
     walker_engine._one_body_pass(
-        ens, cache, propagators.one_body_half, alive, bool(alive.all()), normalize=False
+        ens, ens.attach(trial), propagators.one_body_half, alive, bool(alive.all())
     )
-    return ens.walker(0)
+    norms = np.linalg.norm(walker.state.sites @ propagators.one_body_half, axis=1)
+    sites = ens.sites[:, :, 0] * norms[:, None]
+    return Walker(ProductState(sites), float(ens.weight[0]), float(ens.ovlp[0]) * np.prod(norms))
 
 
 class TestApplyOneBody:
@@ -64,7 +72,9 @@ class TestApplyOneBody:
         trial = uniform_trial(4)
         walker = positive_walker(rng, 4, trial)
         out = apply_one_body(walker, trial, PropagatorSet.build(0.0, 0.02))
-        np.testing.assert_array_equal(out.state.sites, walker.state.sites)
+        # the pass divides by the site norms and the helper multiplies them
+        # back, a round trip exact to the last bit only
+        np.testing.assert_allclose(out.state.sites, walker.state.sites, rtol=1e-15, atol=0)
         assert out.weight == walker.weight
 
     def test_positive_sector_stays_positive(self, rng):
@@ -189,17 +199,16 @@ class TestStep:
         trial = uniform_trial(4)
         all_up = np.tile([1.0, 0.0], (4, 1))
         ens = Ensemble(
-            [np.tile(all_up[m], (10, 1)) for m in range(4)],
+            np.repeat(all_up[:, :, None], 10, axis=2),
             np.ones(10),
             np.full(10, trial.overlap(ProductState(all_up))),
             seed=5,
         )
         prop = PropagatorSet.build(0.0, 0.07)
         step(ens, trial, lat, prop)
-        for m in range(4):
-            # diagonal propagators only rescale; per-step normalization
-            # returns the site vectors to exactly (1, 0)
-            np.testing.assert_array_equal(ens.sites[m], np.tile([1.0, 0.0], (10, 1)))
+        # diagonal propagators only rescale; per-step normalization
+        # returns the site vectors to exactly (1, 0)
+        np.testing.assert_array_equal(ens.sites, np.repeat(all_up[:, :, None], 10, axis=2))
 
     def test_bit_reproducible_trajectory(self):
         lat = build_lattice("chain", (4,), "periodic")
@@ -223,11 +232,10 @@ class TestStep:
         trial = uniform_trial(4)
         ens = Ensemble.from_trial_product(trial, 6, seed=1)
         ens.weight[2] = 0.0
-        frozen = [s[2].copy() for s in ens.sites]
+        frozen = ens.sites[:, :, 2].copy()
         frozen_ovlp = ens.ovlp[2]
         step(ens, trial, lat, PropagatorSet.build(1.0, 0.05))
-        for m in range(4):
-            np.testing.assert_array_equal(ens.sites[m][2], frozen[m])
+        np.testing.assert_array_equal(ens.sites[:, :, 2], frozen)
         assert ens.ovlp[2] == frozen_ovlp
         assert ens.weight[2] == 0.0
 
@@ -239,15 +247,50 @@ class TestStep:
         with pytest.raises(DeadEnsembleError):
             step(ens, trial, lat, PropagatorSet.build(1.0, 0.01))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "quantity, weight, ovlp", [("weight", np.inf, None), ("overlap", 0.0, np.nan)]
+    )
+    def test_bad_result_named(self, quantity, weight, ovlp):
+        # the step that leaves a non-finite weight or overlap names it, with
+        # no NumPy warning, and does not report it as a death
+        lat = build_lattice("chain", (4,), "periodic")
+        trial = uniform_trial(4)
+        ens = Ensemble.from_trial_product(trial, 5, seed=1)
+        ens.weight[3] = weight
+        if ovlp is not None:
+            ens.ovlp[3] = ovlp
+        with pytest.raises(WeightError) as err:
+            step(ens, trial, lat, PropagatorSet.build(1.0, 0.05))
+        assert err.value.diagnostics["step"] == 1
+        assert err.value.diagnostics["walker"] == 3
+        assert f"walker 3 has {quantity} " in str(err.value)
+        assert "died" not in str(err.value)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nan_bond_overlap_named(self):
+        # the trial's overlaps are finite (1e100) but its left partials
+        # overflow, so the bond overlaps are NaN: the step names that
+        # overlap instead of counting the walkers as killed
+        cores = [c.copy() for c in uniform_trial(3).tt.cores]
+        for c, s in zip(cores, (1e200, 1e200, 1e-300)):
+            c *= s
+        trial = TrialHandle.from_tt(TensorTrain(cores))
+        ens = Ensemble.from_trial_product(uniform_trial(3), 4, seed=1)
+        reanchor_overlaps(ens, trial)
+        assert np.all(np.isfinite(ens.ovlp))
+        with pytest.raises(WeightError, match="walker 0 has overlap nan at step 1"):
+            step(ens, trial, build_lattice("chain", (3,), "open"), PropagatorSet.build(1.0, 0.05))
+
     def test_weights_stay_nonnegative(self, rng):
         lat = build_lattice("chain", (5,), "periodic")
         tt = random_tt(rng, 5, 2)
         ens = Ensemble.from_trial_product(uniform_trial(5), 30, seed=9)
         for m in range(5):
-            ens.sites[m] = np.abs(rng.standard_normal((30, 2))) + 0.05
+            ens.sites[m] = (np.abs(rng.standard_normal((30, 2))) + 0.05).T
         # orient the generic signed trial toward the walker cloud so the
         # swap leaves survivors, then propagate under it
-        probe = ProductState(np.stack([s[0] for s in ens.sites]))
+        probe = ProductState(ens.sites[:, :, 0])
         if TrialHandle.from_tt(tt).overlap(probe) < 0:
             tt = tt.scaled(-1.0)
         trial = TrialHandle.from_tt(tt)
@@ -331,8 +374,8 @@ class TestFusedHalves:
 
 def _unit_sites(ens):
     """Unit-norm site vectors and the per-walker product of the site norms."""
-    norms = [np.linalg.norm(s, axis=1) for s in ens.sites]
-    return [s / n[:, None] for s, n in zip(ens.sites, norms)], np.prod(norms, axis=0)
+    norms = np.linalg.norm(ens.sites, axis=1)
+    return ens.sites / norms[:, None, :], np.prod(norms, axis=0)
 
 
 class TestPopulationControl:
@@ -347,7 +390,7 @@ class TestPopulationControl:
         for offset in (0.01, 0.37, 0.99):
             ens = Ensemble.from_trial_product(trial, 5, seed=2)
             for m in range(3):
-                ens.sites[m] = rng.standard_normal((5, 2)) + 2.0
+                ens.sites[m] = (rng.standard_normal((5, 2)) + 2.0).T
             before = [s.copy() for s in ens.sites]
             population_control(ens, _FixedUniform(offset))
             for m in range(3):
@@ -402,17 +445,17 @@ class TestPopulationControl:
     def test_dead_walkers_never_copied(self):
         trial = uniform_trial(3)
         ens = Ensemble.from_trial_product(trial, 4, seed=1)
-        ens.sites[0][2] = [3.0, 4.0]  # mark walker 2
+        ens.sites[0][:, 2] = [3.0, 4.0]  # mark walker 2
         ens.weight = np.array([1.0, 1.0, 0.0, 2.0])
         population_control(ens, np.random.default_rng(3))
-        assert not np.any(np.all(ens.sites[0] == [3.0, 4.0], axis=1))
+        assert not np.any(np.all(ens.sites[0].T == [3.0, 4.0], axis=1))
 
     def test_cache_valid_after_comb(self, rng):
         # the comb reorders the walkers under a cache whose partials were
         # all valid; its next overlaps must be those of the combed walkers
         d, n = 6, 16
         trial = TrialHandle.from_tt(random_tt(rng, d, 3))
-        sites = [rng.standard_normal((n, 2)) for _ in range(d)]
+        sites = rng.standard_normal((d, n, 2)).transpose(0, 2, 1)
         ens = Ensemble(sites, np.ones(n), np.ones(n), seed=1)
         cache = ens.attach(trial)
         cache.ensure_measure()
@@ -455,6 +498,89 @@ class TestReanchorOverlaps:
             reanchor_overlaps(ens, negated)
 
 
+def _positive_trial(rng, d):
+    tt = random_tt(rng, d, 2)
+    return TrialHandle.from_tt(TensorTrain([np.abs(c) + 0.1 for c in tt.cores]))
+
+
+def _one_body_reference(ens, trial, B, alive):
+    """The one-body pass site by site on walker-first (n, 2) copies.
+
+    Returns the (sites, weight, ovlp) the pass must leave: unit-norm site
+    vectors and weights times the product of the norms in site order, dead
+    walkers untouched.
+    """
+    scale = np.ones(ens.n_walkers)
+    sites = []
+    for m in range(ens.d):
+        v = np.ascontiguousarray(ens.sites[m].T)
+        new = v @ B
+        norms = np.sqrt(np.square(new) @ np.ones(2))
+        scale *= norms
+        sites.append(np.where(alive[:, None], new / norms[:, None], v).T)
+    sites = np.stack(sites)
+    fresh = np.maximum(product_overlaps(trial.wr, sites), 0.0)
+    old = np.where(ens.ovlp > 0.0, ens.ovlp, 1.0)
+    weight = np.where(alive, ens.weight * (fresh * scale / old), ens.weight)
+    return sites, weight, np.where(alive, fresh, ens.ovlp)
+
+
+class TestSiteLayout:
+    @pytest.mark.parametrize("shape", [(4, 3, 2), (4, 2, 5), (4, 2), (4, 2, 3, 1)])
+    def test_rejects_other_site_shapes(self, shape):
+        # (4, 3, 2) is the walker-first layout of 3 walkers at d = 4
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            Ensemble(np.ones(shape), np.ones(3), np.ones(3), seed=0)
+
+    def test_cache_shares_sites_through_every_writer(self, rng):
+        d, n = 6, 12
+        trial = _positive_trial(rng, d)
+        ens = Ensemble(np.exp(rng.standard_normal((d, 2, n))), np.ones(n), np.ones(n), seed=0)
+        reanchor_overlaps(ens, trial)
+        ens.weight[[2, 7]] = 0.0
+        sites = ens.sites
+        prop = PropagatorSet.build(1.0, 0.05)
+        factors = walker_engine._bond_factors(prop)
+        writers = {
+            "one-body pass": lambda c: walker_engine._one_body_pass(
+                ens, c, prop.one_body_half, ens.alive, False
+            ),
+            "bond pass": lambda c: [
+                walker_engine._sample_bond_kernel(
+                    ens, c, p, q, factors, rng.random(n), ens.alive, False
+                )
+                for p, q in build_lattice("chain", (d,), "periodic").chain_bonds
+            ],
+            "comb": lambda c: population_control(ens, np.random.default_rng(1)),
+            "re-anchor": lambda c: reanchor_overlaps(ens, _positive_trial(rng, d)),
+        }
+        for name, write in writers.items():
+            write(ens.attach(ens._trial))
+            cache = ens._cache
+            assert ens.sites is sites and cache.sites is sites, name
+            assert sites.flags.c_contiguous, name
+            # the cache reads the written values: its overlaps are a fresh sweep's
+            fresh = product_overlaps(cache.handle.wr, sites.copy())
+            assert np.array_equal(cache.overlaps(), fresh), name
+
+    @pytest.mark.parametrize("full", [False, True])
+    def test_one_body_pass_matches_per_site_reference(self, rng, full):
+        d, n = 7, 15
+        trial = _positive_trial(rng, d)
+        ens = Ensemble(rng.standard_normal((d, 2, n)), np.ones(n), np.ones(n), seed=0)
+        reanchor_overlaps(ens, trial)
+        ens.weight = np.exp(rng.standard_normal(n)) * (ens.weight > 0.0)
+        ens.weight[[0, 9]] = 0.0
+        prop = PropagatorSet.build(1.0, 0.05)
+        B = prop.one_body_full if full else prop.one_body_half
+        alive = ens.alive
+        assert 0 < alive.sum() < n
+        expected = _one_body_reference(ens, trial, B, alive)
+        walker_engine._one_body_pass(ens, ens.attach(trial), B, alive, False)
+        for got, want in zip((ens.sites, ens.weight, ens.ovlp), expected):
+            assert np.array_equal(got, want)
+
+
 class TestStreams:
     def test_keyed_streams_reproducible(self):
         a = stream(123, 1, step=7).random(5)
@@ -495,7 +621,7 @@ class TestTrialHandle:
 
 def _signed_ensemble(rng, d, n, dead=()):
     ens = Ensemble(
-        [rng.standard_normal((n, 2)) for _ in range(d)], np.ones(n), np.ones(n), seed=0
+        rng.standard_normal((d, n, 2)).transpose(0, 2, 1), np.ones(n), np.ones(n), seed=0
     )
     ens.weight[list(dead)] = 0.0
     return ens
@@ -503,13 +629,13 @@ def _signed_ensemble(rng, d, n, dead=()):
 
 def _dense_bond_overlaps(psi, ens, p, q, factors):
     """Kronecker-expanded <psi, b(x) phi_k>, rows x = +1, -1."""
-    fac_p, fac_q, _ = factors
+    fac, _ = factors
     out = np.empty((2, ens.n_walkers))
     for x in (0, 1):
         for k in range(ens.n_walkers):
-            sites = np.stack([s[k] for s in ens.sites])
-            sites[p] = sites[p] * fac_p[x]
-            sites[q] = sites[q] * fac_q[x]
+            sites = ens.sites[:, :, k].copy()
+            sites[p] = sites[p] * fac[:2, x]
+            sites[q] = sites[q] * fac[2:, x]
             out[x, k] = psi @ ProductState(sites).to_dense()
     return out
 
@@ -534,7 +660,7 @@ class TestTTKernel:
         cache = ens.attach(trial)
         spans = set()
         for p, q in lattice.chain_bonds:
-            got = cache.bond_overlaps(p, q, factors)
+            got = cache.bond_overlaps(p, q, factors[1])
             ref = _dense_bond_overlaps(psi, ens, p, q, factors)
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
             spans.add(q - p)
