@@ -12,7 +12,7 @@ from .qmc_driver import (
     mixed_energy,
     run,
 )
-from .sketching import SketchPair, least_squares_core, make_sketch_pair, sketch_ensemble
+from .sketching import SketchPair, make_sketch_pair, sketch_ensemble
 from .spin_model import (
     Lattice,
     PropagatorSet,
@@ -27,7 +27,6 @@ from .tensor_train import (
     TensorTrain,
     load_tt,
     save_tt,
-    tt_product_overlap,
     tt_to_dense,
     tt_tt_overlap,
 )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -18,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 
 from .config import RunConfig, load_config
-from .errors import ConfigError, TtqmcError
+from .errors import ConfigError, NonFiniteResultError, TtqmcError
 from .oracle import ORACLE_CAP, exact_ground
 from .qmc_driver import fidelity, g_sweep, run
 from .spin_model import analytic_chain_energy
@@ -84,6 +85,14 @@ def _summary_payload(config, trace, reference_energy, fid, blas_threads):
     return out
 
 
+def _strict_json(payload):
+    """JSON text of ``payload``; a non-finite top-level number raises NonFiniteResultError."""
+    for key, value in sorted(payload.items()):
+        if isinstance(value, float) and not math.isfinite(value):
+            raise NonFiniteResultError(f"summary field {key!r}", value)
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def cmd_run(config):
     lattice = config.lattice()
     trace, trial, _ = run(config)
@@ -91,14 +100,12 @@ def cmd_run(config):
     fid = None
     if ground_state is not None:
         fid = fidelity(trial, ground_state)
+    summary = _summary_payload(config, trace, reference_energy, fid, _BLAS_THREADS)
+    summary_text = _strict_json(summary)
 
     os.makedirs(config.out_dir, exist_ok=True)
     _atomic_write_text(os.path.join(config.out_dir, "trace.csv"), trace.to_csv())
-    summary = _summary_payload(config, trace, reference_energy, fid, _BLAS_THREADS)
-    _atomic_write_text(
-        os.path.join(config.out_dir, "summary.json"),
-        json.dumps(summary, indent=2, sort_keys=True) + "\n",
-    )
+    _atomic_write_text(os.path.join(config.out_dir, "summary.json"), summary_text)
     _atomic_write_tt(os.path.join(config.out_dir, "trial.tt"), trial.tt)
 
     if trace.mean is not None:

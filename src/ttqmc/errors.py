@@ -65,6 +65,19 @@ class WeightError(TtqmcError):
         self.diagnostics = {"step": step, "walker": walker, quantity: value}
 
 
+class NonFiniteResultError(TtqmcError):
+    """A result to be reported is NaN or infinite.
+
+    ``what`` names it (the mixed energy, or a ``summary.json`` field);
+    ``step`` is the measured step, or None for a run summary.
+    """
+
+    def __init__(self, what, value, step=None):
+        at = "" if step is None else f" at step {step}"
+        super().__init__(f"{what} is {value!r}{at}; reported results must be finite")
+        self.diagnostics = {"step": step, what: value}
+
+
 class EigensolverError(TtqmcError):
     """An iterative eigensolver reached its iteration cap without converging."""
 

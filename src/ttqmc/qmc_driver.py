@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, DeadEnsembleError, ZeroOverlapError
+from .errors import ConfigError, DeadEnsembleError, NonFiniteResultError, ZeroOverlapError
 from .sketching import make_sketch_pair, sketch_ensemble
 from .spin_model import PropagatorSet
 from .tensor_train import TensorTrain
@@ -99,13 +99,19 @@ def mixed_energy(ensemble, trial, lattice, g):
     """Weight-weighted average of local energies over alive walkers.
 
     A non-finite or negative weight, or an overflowing sum, raises WeightError.
+    The weights are divided by their sum before the dot, so a finite sum
+    near the float maximum cannot overflow it; a non-finite energy raises
+    NonFiniteResultError.
     """
     ensemble.require_settled("mixed_energy")
     total = checked_weight_sum(ensemble, "the mixed estimator")
     if total <= 0.0:
         raise DeadEnsembleError("mixed energy with zero total weight")
     eloc = _batch_local_energies(ensemble, trial, lattice, g)
-    return float(np.dot(ensemble.weight, eloc) / total)
+    energy = float(np.dot(ensemble.weight / total, eloc))
+    if not np.isfinite(energy):
+        raise NonFiniteResultError("the mixed energy", energy, ensemble.step)
+    return energy
 
 
 def blocking_error(samples):
@@ -205,6 +211,8 @@ def run(config, initial_trial=None):
                 timers["popcontrol"] += time.perf_counter() - t0
             if sketching:
                 t0 = time.perf_counter()
+                # the outgoing trial's overlap cache is dead weight during the fit
+                ensemble.detach()
                 tt = sketch_ensemble(ensemble, pair, target_ranks)
                 trial = TrialHandle.from_tt(tt)
                 reanchor_overlaps(ensemble, trial)

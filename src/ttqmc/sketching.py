@@ -73,11 +73,6 @@ class SketchPair:
     def d(self):
         return self.left.d
 
-    @property
-    def degenerate(self):
-        """delta = 0 collapses v_2; downstream cross matrices lose rank."""
-        return self.delta == 0.0
-
 
 def _cluster_cores(rng, d, rank, delta):
     cores = []
@@ -108,29 +103,6 @@ def make_sketch_pair(d, sketch_rank, delta, seed):
     return SketchPair(
         left=left, right=right, sketch_rank=int(sketch_rank), delta=float(delta), seed=int(seed)
     )
-
-
-def least_squares_core(X, Y, cutoff):
-    """Minimum-norm least-squares solve of X G = Y with SV thresholding.
-
-    Y may carry trailing axes; singular values below cutoff * sigma_max are
-    treated as exact zeros (null space).  Raises RankZeroError if nothing
-    survives the threshold.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] < X.shape[1]:
-        raise ValueError(f"X must be square or tall, got shape {X.shape}")
-    U, s, Vt = np.linalg.svd(X, full_matrices=False)
-    Y = np.asarray(Y, dtype=np.float64)
-    if s.size == 0 or s[0] <= 0.0 or not np.isfinite(s[0]):
-        raise RankZeroError(None)
-    keep = s > cutoff * s[0]
-    if not keep.any():
-        raise RankZeroError(None)
-    y_mat = Y.reshape(U.shape[0], -1)
-    coeff = (U[:, keep].T @ y_mat) / s[keep][:, None]
-    sol = Vt[keep].T @ coeff
-    return sol.reshape((Vt.shape[1],) + Y.shape[1:])
 
 
 def validate_target_ranks(target_ranks, d, sketch_rank):

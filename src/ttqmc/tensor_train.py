@@ -111,11 +111,6 @@ class TensorTrain:
         v = np.full(2, 2.0 ** -0.5)
         return cls.from_product([v] * d)
 
-    def scaled(self, c):
-        """New TT representing c times this one (scale folded into core 0)."""
-        cores = [np.asarray(self.cores[0]) * c] + [np.asarray(g) for g in self.cores[1:]]
-        return TensorTrain(cores)
-
 
 class ProductState:
     """A separable wavefunction: one length-2 real vector per site."""
@@ -204,15 +199,6 @@ def product_overlaps(wrs, sites):
     for wr, v in zip(reversed(wrs), reversed(sites)):
         R = advance_right(R, wr, v)
     return R[0]
-
-
-def tt_product_overlap(tt, phi):
-    """<tt, phi> for a product state phi: ``product_overlaps`` on a batch of one.
-
-    Cost is O(d r^2); exact up to floating-point rounding.
-    """
-    wrs = [right_transfer(c) for c in tt.cores]
-    return float(product_overlaps(wrs, phi.sites[:, :, None])[0])
 
 
 def tt_tt_overlap(a, b):

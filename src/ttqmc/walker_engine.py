@@ -334,15 +334,17 @@ class Ensemble:
         state = ProductState(self.sites[:, :, k])
         return Walker(state=state, weight=float(self.weight[k]), overlap=float(self.ovlp[k]))
 
-    def walkers(self):
-        return [self.walker(k) for k in range(self.n_walkers)]
-
     def attach(self, trial):
         """Bind (or reuse) the overlap cache for this trial."""
         if self._cache is None or self._trial is not trial:
             self._cache = _TTCache(trial, self.sites)
             self._trial = trial
         return self._cache
+
+    def detach(self):
+        """Drop the overlap cache; the next ``attach`` builds a fresh one."""
+        self._cache = None
+        self._trial = None
 
 
 def _write_masked(arr, mask, all_true, values):

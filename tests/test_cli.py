@@ -6,11 +6,18 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import eigsh
 
 from ttqmc import cli, spin_model
 from ttqmc.config import RunConfig, load_config
 from ttqmc.errors import ConfigError
+from ttqmc.spin_model import build_lattice
 from ttqmc.tensor_train import load_tt
+
+from conftest import csr_hamiltonian
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def write_config(tmp_path, **kw):
@@ -193,37 +200,84 @@ class TestCmdRun:
         assert "d=8" in err
         assert "Traceback" not in err
 
+    @staticmethod
+    def _run_without_scipy(tmp_path, cfg_path):
+        """``ttqmc run`` in a fresh process; exits 10 if it loaded scipy."""
+        code = (
+            "import sys; from ttqmc import cli; "
+            f"rc = cli.main(['run', '--config', {cfg_path!r}, '--out-dir', {str(tmp_path / 'out')!r}]); "
+            "sys.exit(rc or 10 * ('scipy' in sys.modules))"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+        assert proc.returncode == 0
+        return json.loads((tmp_path / "out" / "summary.json").read_text())
+
     def test_periodic_chain_run_does_not_load_scipy(self, tmp_path):
         # d=16 is past the exact oracle, so the reference is the free-fermion
         # formula, whose cross-check runs without scipy
         cfg_path = write_config(
             tmp_path, lattice_dims=[16], total_steps=0, sketch_stop_step=0, equilibration_steps=0,
         )
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        code = (
-            "import sys; from ttqmc import cli; "
-            f"rc = cli.main(['run', '--config', {cfg_path!r}, '--out-dir', {str(tmp_path / 'out')!r}]); "
-            "sys.exit(rc or 10 * ('scipy' in sys.modules))"
-        )
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
-        assert proc.returncode == 0
-        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        summary = self._run_without_scipy(tmp_path, cfg_path)
         # at g = 1 the free-fermion sum has the closed form -2 / sin(pi / 2d)
         assert summary["reference_energy"] == pytest.approx(-2.0 / np.sin(np.pi / 32), abs=1e-12)
 
+    def test_cylinder_run_reports_exact_references_without_scipy(self, tmp_path):
+        # d=12 is within the exact oracle: its Lanczos solver gives the
+        # reference energy and the ground vector the fidelity is taken against
+        cfg_path = write_config(
+            tmp_path, lattice_kind="cylinder", lattice_dims=[3, 4], total_steps=20,
+            sketch_stop_step=20, equilibration_steps=10,
+        )
+        summary = self._run_without_scipy(tmp_path, cfg_path)
+        lat = build_lattice("cylinder", (3, 4), "periodic")
+        e0 = eigsh(csr_hamiltonian(lat, 1.0), k=1, which="SA", return_eigenvectors=False)[0]
+        assert summary["reference_energy"] == pytest.approx(e0, rel=1e-12)
+        assert isinstance(summary["relative_error"], float)
+        assert 0.0 < summary["fidelity"] <= 1.0
+
     def test_import_does_not_load_scipy(self):
-        # scipy is imported only by the exact references that use it
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        # the runtime needs numpy alone
         code = "import sys, ttqmc.cli; sys.exit('scipy' in sys.modules)"
-        env = dict(os.environ, PYTHONPATH=src)
+        env = dict(os.environ, PYTHONPATH=SRC)
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_weights_near_float_max_give_finite_outputs(self, tmp_path):
+        # the total weight at step 12 is 9.8e306: finite, but the unnormalized
+        # dot of the mixed estimator overflowed to -inf.  Rounding g or dtau
+        # hides the failure, so both keep every digit
+        cfg_path = write_config(
+            tmp_path, lattice_dims=[8], g=3.30520897328002, dtau=1.8417276517693644,
+            n_walkers=59, total_steps=12, measure_every=2, popcontrol_every=18, sketch_every=5,
+            sketch_stop_step=None, equilibration_steps=None, sketch_rank=8, delta=1.0,
+            target_edge_rank=3, target_middle_rank=4, reanchor=True, seed=23,
+        )
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfg_path, "--out-dir", str(out)]) == 0
+        rows = (out / "trace.csv").read_text().splitlines()[1:]
+        assert float(rows[-1].split(",")[2]) > 1e306
+        assert all(np.isfinite(float(r.split(",")[1])) for r in rows)
+
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+        assert np.isfinite(summary["energy_mean"])
+
+    def test_non_finite_summary_exit_3_names_field(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "fidelity", lambda trial, ref: float("nan"))
+        cfg_path = write_config(tmp_path, total_steps=10, sketch_stop_step=10, equilibration_steps=0)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfg_path, "--out-dir", str(out)]) == 3
+        assert "summary field 'fidelity' is nan" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_summary_records_blas_thread_settings(self, tmp_path):
         # the settings the process started with, which the BLAS read at load
         cfg_path = write_config(tmp_path, total_steps=0, sketch_stop_step=0, equilibration_steps=0)
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="3")
+        env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="3")
         env.pop("OMP_NUM_THREADS", None)
         argv = ["run", "--config", cfg_path, "--out-dir", str(tmp_path / "out")]
         subprocess.run(
@@ -243,11 +297,10 @@ class TestCmdRun:
             tmp_path, lattice_dims=[16], n_walkers=2000, total_steps=20,
             sketch_every=10, sketch_stop_step=20, equilibration_steps=10, sketch_rank=60,
         )
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         outputs = []
         for threads in ("1", "2"):
             out = tmp_path / f"out{threads}"
-            env = dict(os.environ, PYTHONPATH=src)
+            env = dict(os.environ, PYTHONPATH=SRC)
             for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
                 env[var] = threads
             argv = ["run", "--config", cfg_path, "--out-dir", str(out)]

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from ttqmc.config import RunConfig
-from ttqmc.errors import ConfigError, DeadEnsembleError, WeightError, ZeroOverlapError
+from ttqmc import qmc_driver
+from ttqmc.errors import (
+    ConfigError,
+    DeadEnsembleError,
+    NonFiniteResultError,
+    WeightError,
+    ZeroOverlapError,
+)
 from ttqmc.oracle import exact_ground
 from ttqmc.qmc_driver import (
     EnergyTrace,
@@ -123,6 +130,26 @@ class TestMixedEnergy:
         expected = (1.0 * e0 + 3.0 * e1) / 4.0
         assert mixed_energy(ens, trial, lat, 1.0) == pytest.approx(expected, rel=1e-13)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_weights_near_float_max_stay_finite(self):
+        # weights summing to 1e308 would overflow an unnormalized dot
+        lat = build_lattice("chain", (3,), "open")
+        trial = default_trial(3)
+        ens = Ensemble.from_trial_product(trial, 4, seed=0)
+        expected = mixed_energy(ens, trial, lat, 1.0)
+        ens.weight = np.full(4, 2.5e307)
+        assert mixed_energy(ens, trial, lat, 1.0) == pytest.approx(expected, rel=1e-13)
+
+    def test_non_finite_energy_names_step(self, monkeypatch):
+        lat = build_lattice("chain", (3,), "open")
+        trial = default_trial(3)
+        ens = Ensemble.from_trial_product(trial, 4, seed=0)
+        ens.step = 7
+        monkeypatch.setattr(qmc_driver, "_batch_local_energies", lambda *args: np.full(4, np.nan))
+        with pytest.raises(NonFiniteResultError, match="mixed energy is nan at step 7") as err:
+            mixed_energy(ens, trial, lat, 1.0)
+        assert err.value.diagnostics["step"] == 7
+
     def test_matches_explicit_weighted_mean(self, rng):
         # estimator consistency: batch path vs single-walker local energies
         lat = build_lattice("chain", (5,), "periodic")
@@ -130,8 +157,9 @@ class TestMixedEnergy:
         ens = Ensemble.from_trial_product(default_trial(5), 10, seed=2)
         reanchor_overlaps(ens, trial)
         step(ens, trial, lat, PropagatorSet.build(1.0, 0.05))
+        walkers = [ens.walker(k) for k in range(ens.n_walkers)]
         explicit = sum(
-            w.weight * local_energy(trial, w, lat, 1.0) for w in ens.walkers()
+            w.weight * local_energy(trial, w, lat, 1.0) for w in walkers
         ) / ens.weight.sum()
         assert mixed_energy(ens, trial, lat, 1.0) == pytest.approx(explicit, rel=1e-13)
 

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 from scipy.linalg import expm
-
 from scipy.sparse.linalg import eigsh
 
 from ttqmc import spin_model
@@ -9,14 +8,15 @@ from ttqmc.errors import DenseCapError, EigensolverError
 from ttqmc.spin_model import (
     SIGMA_X,
     PropagatorSet,
-    _lanczos_ground_energy,
     analytic_chain_energy,
     build_lattice,
     dense_hamiltonian,
     hs_lambda,
+    lanczos_ground,
     one_body_matrix,
-    sparse_hamiltonian,
 )
+
+from conftest import csr_hamiltonian
 
 
 class TestBuildLattice:
@@ -136,10 +136,11 @@ class TestDenseHamiltonian:
             dense_hamiltonian(lat, 1.0)
 
     def test_sparse_matches_dense(self):
-        lat = build_lattice("chain", (6,), "periodic")
-        np.testing.assert_array_equal(
-            sparse_hamiltonian(lat, 1.3).toarray(), dense_hamiltonian(lat, 1.3)
-        )
+        # the tests' CSR reference and the dense matrix are built apart
+        for lat in (build_lattice("chain", (6,), "periodic"), build_lattice("cylinder", (3, 2), "periodic")):
+            np.testing.assert_array_equal(
+                csr_hamiltonian(lat, 1.3).toarray(), dense_hamiltonian(lat, 1.3)
+            )
 
     def test_symmetric(self):
         lat = build_lattice("grid", (2, 3), "open")
@@ -169,26 +170,55 @@ LANCZOS_LATTICES = {
     "chain10-open": ("chain", (10,), "open"),
     "chain12-periodic": ("chain", (12,), "periodic"),
     "cylinder3x4": ("cylinder", (3, 4), "periodic"),
+    "grid2x4": ("grid", (2, 4), "open"),
+    "cylinder3x3": ("cylinder", (3, 3), "periodic"),
+    "grid3x4": ("grid", (3, 4), "open"),
+    "chain14-open": ("chain", (14,), "open"),
 }
 
 
+def reference_ground(lat, g):
+    """Dense ``eigh`` up to d = 10, beyond it scipy's ``eigsh`` on ``csr_hamiltonian``."""
+    if lat.d <= 10:
+        vals, vecs = np.linalg.eigh(dense_hamiltonian(lat, g))
+    else:
+        vals, vecs = eigsh(csr_hamiltonian(lat, g), k=1, which="SA", tol=0.0)
+    return vals[0], vecs[:, 0]
+
+
 class TestLanczosGroundEnergy:
+    # g >= 0.5: at g = 0.2 the even ground state and the odd first excited
+    # state lie as little as 1e-12 apart on these lattices, and the
+    # references return mixtures of the two; the Lanczos vector stays even
     @pytest.mark.parametrize("g", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("name", list(LANCZOS_LATTICES))
     def test_matches_exact_diagonalization(self, name, g):
         lat = build_lattice(*LANCZOS_LATTICES[name])
-        if lat.d <= 10:
-            expected = np.linalg.eigh(dense_hamiltonian(lat, g))[0][0]
-        else:
-            expected = eigsh(sparse_hamiltonian(lat, g), k=1, which="SA", return_eigenvectors=False)[0]
-        assert abs(_lanczos_ground_energy(lat, g) - expected) < 1e-10
+        expected, vec = reference_ground(lat, g)
+        energy, psi = lanczos_ground(lat, g)
+        assert abs(energy - expected) < 1e-10
+        assert 1.0 - abs(psi @ vec) <= 1e-12
+        residual = csr_hamiltonian(lat, g) @ psi - energy * psi
+        assert np.linalg.norm(residual) <= 1e-10
+
+    @pytest.mark.parametrize("name", ["chain10-open", "cylinder3x3", "grid3x4"])
+    def test_classical_limit_is_even_combination(self, name):
+        # g = 0: H is diagonal; the uniform start keeps the equal-weight sum
+        # of the lowest classical configurations
+        lat = build_lattice(*LANCZOS_LATTICES[name])
+        diag = csr_hamiltonian(lat, 0.0).diagonal()
+        lowest = diag == diag.min()
+        energy, psi = lanczos_ground(lat, 0.0)
+        assert energy == pytest.approx(diag.min(), abs=1e-12)
+        even = np.where(lowest, lowest.sum() ** -0.5, 0.0)
+        np.testing.assert_allclose(psi * np.sign(psi @ even), even, atol=1e-12)
 
     def test_iteration_cap_is_an_error(self, monkeypatch):
         # d=8 at g=1 needs about 15 iterations
         monkeypatch.setattr(spin_model, "LANCZOS_MAX_ITER", 3)
         lat = build_lattice("chain", (8,), "periodic")
         with pytest.raises(EigensolverError) as err:
-            _lanczos_ground_energy(lat, 1.0)
+            lanczos_ground(lat, 1.0)
         assert err.value.d == 8
 
 

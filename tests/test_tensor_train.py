@@ -9,12 +9,11 @@ from ttqmc.tensor_train import (
     TensorTrain,
     load_tt,
     save_tt,
-    tt_product_overlap,
     tt_to_dense,
     tt_tt_overlap,
 )
 
-from conftest import random_tt
+from conftest import random_tt, tt_product_overlap
 
 
 def ones_rank1(d):
@@ -95,7 +94,7 @@ class TestProductOverlap:
         tt = random_tt(rng, 4, 2)
         phi = ProductState(rng.standard_normal((4, 2)))
         base = tt_product_overlap(tt, phi)
-        scaled = tt.scaled(-2.5)
+        scaled = TensorTrain([tt.cores[0] * -2.5] + list(tt.cores[1:]))
         assert tt_product_overlap(scaled, phi) == pytest.approx(-2.5 * base, rel=1e-13)
 
 

@@ -292,7 +292,7 @@ class TestStep:
         # swap leaves survivors, then propagate under it
         probe = ProductState(ens.sites[:, :, 0])
         if TrialHandle.from_tt(tt).overlap(probe) < 0:
-            tt = tt.scaled(-1.0)
+            tt = TensorTrain([-tt.cores[0]] + list(tt.cores[1:]))
         trial = TrialHandle.from_tt(tt)
         reanchor_overlaps(ens, trial)
         prop = PropagatorSet.build(0.8, 0.05)
@@ -355,10 +355,9 @@ class TestFusedHalves:
                 ens, make_sketch_pair(ens.d, 4, 0.1, seed=0), [2, 2, 2, 2, 2]
             ),
             lambda ens, trial, lat: ens.walker(0),
-            lambda ens, trial, lat: ens.walkers(),
         ],
         ids=["mixed_energy", "population_control", "reanchor_overlaps",
-             "sketch_ensemble", "walker", "walkers"],
+             "sketch_ensemble", "walker"],
     )
     def test_observers_refuse_pending_ensemble(self, observe):
         d = 6
@@ -461,7 +460,7 @@ class TestPopulationControl:
         cache.ensure_measure()
         ens.weight = np.exp(rng.standard_normal(n))
         population_control(ens, np.random.default_rng(4))
-        direct = [trial.overlap(w.state) for w in ens.walkers()]
+        direct = [trial.overlap(ens.walker(k).state) for k in range(n)]
         np.testing.assert_allclose(cache.overlaps(), direct, rtol=1e-12)
 
 
@@ -493,7 +492,7 @@ class TestReanchorOverlaps:
     def test_negated_trial_kills_everything(self):
         trial = uniform_trial(4)
         ens = Ensemble.from_trial_product(trial, 10, seed=6)
-        negated = TrialHandle.from_tt(trial.tt.scaled(-1.0))
+        negated = TrialHandle.from_tt(TensorTrain([-trial.tt.cores[0]] + list(trial.tt.cores[1:])))
         with pytest.raises(DeadEnsembleError):
             reanchor_overlaps(ens, negated)
 
