@@ -16,10 +16,10 @@ ever materialized.
 The fit is one left-to-right sweep that yields the target-rank cores
 directly (the TT sketch of Hur, Hoskins, Lindsey, Stoudenmire & Khoo,
 2023).  At cut c the cross matrix X_c = L_c^T R_c has the thin SVD
-U Sigma V^T.  With r_c the target rank, two (n_walkers, r_c) projections
-are kept: A_c = L_c U_r Sigma_r^-1, where directions with sigma below
-LS_CUTOFF * sigma_max get zero rather than an inverse, and
-B_c = R_c V_r^T.  Core m is
+U Sigma V^T.  With r_c the target rank, M_c = U_r Sigma_r^-1, where
+directions with sigma below LS_CUTOFF * sigma_max get zero rather than an
+inverse, and V_c = V_r.  With the (n_walkers, r_c) projections
+A_c = L_c M_c and B_c = R_c V_c^T, core m is
 
     G_m[a, i, b] = sum_k A_m[k, a] v_m[k, i] B_{m+1}[k, b],
 
@@ -27,13 +27,26 @@ with A_0 = c and B_d = 1.  In exact arithmetic this is the
 solve-then-truncate fit: G_m = X_m^+ Y_m from the sketched data Y_m, with
 the leading right singular vectors of X_m and X_{m+1} contracted in.
 
-The partials are walker-first, (n_walkers, rank), so the sweep reads the
-ensemble's (d, 2, n_walkers) sites through one transposed copy.  The
-right partials are built first into one buffer; the left partial streams
-through one buffer, advanced in place.  A site step is one GEMM with the
-core's stacked transfer matrix into a scratch buffer and one ``einsum``
-that weights and sums the two physical halves into the output.  The two
-walker-reducing products, X_c and the core contraction, are summed over
+The sweep visits the odd cuts c and reads two cuts and two cores off one
+two-site walker sum
+
+    Y_c[a, i, b] = sum_k L_c[k, a] v_c[k, i] R_{c+1}[k, b]    (s, 2, s):
+
+X_c is Y_c contracted with right-sketch core c, X_{c+1} is left-sketch
+core c contracted with Y_c, and core c is M_c^T Y_c V_{c+1}^T.  The even
+core c - 1 is the walker sum above, with B_c from one narrow site step of
+R_{c+1} through V_c T_c.  So the right partials are kept only at the even
+cuts 2 <= c < d (and R_d = 1): the odd ones pass through one spare slot,
+and R_1, R_0 are never formed.  With s the sketch rank, the buffer holds at
+most (d/2 + 1) n_walkers s doubles: 31 MB at d = 64, 2000 walkers and
+s = 60, against 62 MB for a partial at every cut.
+
+The partials are walker-first, (n_walkers, rank), and the sweep reads the
+ensemble's (d, 2, n_walkers) sites through a transposed view.  The left
+partial streams through the right buffer's spare slot, advanced in place.
+A site step is one GEMM with the core's stacked transfer matrix into a
+scratch buffer and one ``einsum`` that weights and sums the two physical
+halves into the output.  Every walker-reducing product is summed over
 fixed blocks of walkers in a fixed order, so the fitted cores do not
 depend on the BLAS thread count.
 """
@@ -128,8 +141,8 @@ def validate_target_ranks(target_ranks, d, sketch_rank):
 def _ensemble_arrays(walkers):
     """Walker-first sites (d, n_kept, 2) and coefficients c_k = w_k / O_tr(phi_k).
 
-    The walker-last sites are transposed into contiguous (n_kept, 2) blocks
-    by one copy (two when a zero-weight walker is dropped).  A non-finite or
+    The sites are a transposed view of the walker-last (d, 2, n) array, copied
+    only when a zero-weight walker is dropped.  A non-finite or
     negative weight, a positive weight with a non-positive overlap, or a
     non-finite coefficient raises SketchFitError naming the walker.
     """
@@ -146,8 +159,8 @@ def _ensemble_arrays(walkers):
     _reject_walkers(bad_ovlp, ovlp, "positive-weight walker with non-positive overlap")
     coeff = weight / np.where(keep, ovlp, 1.0)
     _reject_walkers(~np.isfinite(coeff), coeff, "non-finite walker coefficient w_k/O_k")
-    sites = walkers.sites.transpose(0, 2, 1)
-    return np.ascontiguousarray(sites if keep.all() else sites[:, keep]), coeff[keep]
+    sites = walkers.sites if keep.all() else walkers.sites[:, :, keep]
+    return sites.transpose(0, 2, 1), coeff[keep]
 
 
 def _reject_walkers(bad, values, what):
@@ -174,40 +187,52 @@ def _advance_left(L, core, v, out, scratch):
     return _site_step(L, core.reshape(core.shape[0], -1), v, out, scratch)
 
 
-def _right_partials(tt, sites):
-    """Per-walker contractions strictly right of every cut: R[c] (n_walkers, rank).
+def _right_partials(tt, sites, scratch):
+    """Per-walker contractions right of the even cuts: R[c] (n_walkers, rank).
 
-    The partials are views into one (d + 1, n_walkers, max rank) buffer.
+    Returns ``(R, spare)``.  ``R`` maps every even cut 2 <= c < d, and c = d
+    (R_d = 1), to its partial, a view into one buffer; nothing reads R_1 or
+    R_0, so the sweep stops at cut 2.  The odd cuts' partials pass through
+    ``spare`` (n_walkers, max rank), a slot of the same buffer that is free
+    again once the sweep returns.
     """
     d = len(sites)
     n = sites[0].shape[0]
     widths = (1,) + tt.ranks + (1,)
-    buf = np.empty((d + 1, n, max(widths)))
-    scratch = np.empty(2 * n * max(widths))
-    R = [buf[c, :, :w] for c, w in enumerate(widths)]
-    R[d][...] = 1.0
-    for m in range(d - 1, -1, -1):
-        _site_step(R[m + 1], right_transfer(tt.cores[m]).T, sites[m], R[m], scratch)
-    return R
-
-
-def _walker_sum(a, b):
-    """a^T b over the walker axis, summed block by block in a fixed order."""
-    out = a[:_WALKER_BLOCK].T @ b[:_WALKER_BLOCK]
-    for k in range(_WALKER_BLOCK, a.shape[0], _WALKER_BLOCK):
-        out += a[k : k + _WALKER_BLOCK].T @ b[k : k + _WALKER_BLOCK]
-    return out
+    buf = np.empty(((d - 1) // 2 + 1, n, max(widths)))
+    spare = buf[-1]
+    R = {d: np.ones((n, 1))}
+    prev = R[d]
+    for m in range(d - 1, 1, -1):
+        out = (buf[m // 2 - 1] if m % 2 == 0 else spare)[:, : widths[m]]
+        prev = _site_step(prev, right_transfer(tt.cores[m]).T, sites[m], out, scratch)
+        if m % 2 == 0:
+            R[m] = prev
+    return R, spare
 
 
 def _core(a, v, b):
-    """The fitted core G[x, i, y] = sum_k a[k, x] v[k, i] b[k, y]."""
-    ra = a.shape[1]
-    av = (a[:, :, None] * v[:, None, :]).reshape(-1, 2 * ra)
-    return _walker_sum(av, b).reshape(ra, 2, b.shape[1])
+    """G[x, i, y] = sum_k a[k, x] v[k, i] b[k, y], summed over fixed walker blocks.
+
+    Each block's product of ``v`` and ``b`` is built walker-major as
+    (block, 2, rb), rank axis innermost, and the blocks are added in a fixed
+    order, so the bits do not depend on how the BLAS splits the work.
+    """
+    rb = b.shape[1]
+    out = np.zeros((a.shape[1], 2 * rb))
+    for k in range(0, a.shape[0], _WALKER_BLOCK):
+        blk = slice(k, k + _WALKER_BLOCK)
+        out += a[blk].T @ (v[blk, :, None] * b[blk, None, :]).reshape(-1, 2 * rb)
+    return out.reshape(a.shape[1], 2, rb)
 
 
-def _cross_svd(X, cut):
-    """Thin SVD of the cross matrix at ``cut``, with its failures named."""
+def _cross_svd(X, cut, r):
+    """Truncated thin SVD of the cross matrix at ``cut``, with its failures named.
+
+    Returns the left factor M = U_r Sigma_r^+, where directions with sigma
+    below LS_CUTOFF * sigma_max get zero rather than an inverse, and the
+    leading right singular vectors V_r (r, cols).
+    """
     if not np.isfinite(X).all():
         raise SketchFitError(f"non-finite cross matrix at cut {cut}", cut=cut)
     try:
@@ -217,7 +242,9 @@ def _cross_svd(X, cut):
         raise SketchFitError(msg, cut=cut) from None
     if sig[0] <= 0.0:
         raise RankZeroError(cut)
-    return U, sig, Vt
+    keep = sig[:r] > LS_CUTOFF * sig[0]
+    inv = np.divide(1.0, sig[:r], out=np.zeros(r), where=keep)
+    return U[:, :r] * inv, Vt[:r]
 
 
 def sketch_ensemble(walkers, pair, target_ranks):
@@ -232,23 +259,38 @@ def sketch_ensemble(walkers, pair, target_ranks):
     d = len(sites)
     if pair.d != d:
         raise DimensionMismatchError(f"sketch pair has d={pair.d}, walkers d={d}")
-    ranks = validate_target_ranks(target_ranks, d, pair.sketch_rank)
+    ranks = [1] + validate_target_ranks(target_ranks, d, pair.sketch_rank)
 
-    R = _right_partials(pair.right, sites)
-    # the left partial streams through one buffer, advanced in place
-    left = np.empty((coeff.shape[0], pair.sketch_rank))
-    scratch = np.empty(2 * left.size)
+    n = coeff.shape[0]
+    scratch = np.empty(2 * n * pair.sketch_rank)
+    # the left partial streams through the right sweep's spare slot, in place
+    R, left = _right_partials(pair.right, sites, scratch)
     L = A = coeff.reshape(-1, 1)
     cores = []
-    for c in range(1, d):
+    for c in range(1, d, 2):
         L = _advance_left(L, pair.left.cores[c - 1], sites[c - 1], left, scratch)
-        U, sig, Vt = _cross_svd(_walker_sum(L, R[c]), c)
-        r = ranks[c - 1]
-        keep = sig[:r] > LS_CUTOFF * sig[0]
-        inv = np.divide(1.0, sig[:r], out=np.zeros(r), where=keep)
-        cores.append(_core(A, sites[c - 1], R[c] @ Vt[:r].T))
-        A = L @ (U[:, :r] * inv)
-    cores.append(_core(A, sites[d - 1], R[d]))
+        # Y_c = sum_k L_c v_c R_{c+1}; contracting right-sketch core c gives X_c
+        Y = _core(L, sites[c], R[c + 1])
+        T = pair.right.cores[c]
+        M, V = _cross_svd(Y.reshape(len(Y), -1) @ T.reshape(len(T), -1).T, c, ranks[c])
+        # B_c = R_c V_c^T, one narrow site step of R_{c+1} through V_c T_c
+        W = right_transfer(np.tensordot(V, T, 1)).T
+        B = _site_step(R[c + 1], W, sites[c], np.empty((n, len(V))), scratch)
+        cores.append(_core(A, sites[c - 1], B))
+        # core c = M_c^T Y_c V_{c+1}^T, with B_d = 1
+        G = np.tensordot(M, Y, (0, 0))
+        if c + 1 < d:
+            # left-sketch core c contracted with Y_c gives X_{c+1}
+            S = pair.left.cores[c]
+            X = S.reshape(-1, S.shape[2]).T @ Y.reshape(-1, Y.shape[2])
+            M, V = _cross_svd(X, c + 1, ranks[c + 1])
+            G = G @ V.T
+            L = _advance_left(L, S, sites[c], left, scratch)
+            A = L @ M
+        cores.append(G)
+    if d % 2:
+        # the last core sits at an even index
+        cores.append(_core(A, sites[d - 1], R[d]))
 
     # Rescale: unit max-entry cores, global scale folded into the first.
     scale = 1.0

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from ttqmc.tensor_train import (
     tt_to_dense,
     tt_tt_overlap,
 )
-from ttqmc.walker_engine import Walker
+from ttqmc.walker_engine import Ensemble, Walker
 
 from conftest import tt_product_overlap
 
@@ -266,7 +267,12 @@ class TestSweepPartials:
         # L[c][k, a] is walker k's sites < c against the sketch's cores
         # 0..c-1 with the last right index fixed to a (times coeff[k]);
         # R[c][k, a] likewise for sites >= c with the first left index a.
-        d, n = 5, 4
+        # The right sweep keeps R only at the even cuts c >= 2 and at c = d.
+        for d in (5, 6):
+            self.check_partials(rng, d, n=4)
+
+    @staticmethod
+    def check_partials(rng, d, n):
         pair = make_sketch_pair(d, 3, 0.1, seed=7)
         sites = [rng.standard_normal((n, 2)) for _ in range(d)]
         coeff = rng.random(n) + 0.5
@@ -274,8 +280,11 @@ class TestSweepPartials:
         for core, v in zip(pair.left.cores, sites):
             out = np.empty((n, core.shape[2]))
             L.append(_advance_left(L[-1], core, v, out, np.empty(2 * out.size)))
-        R = _right_partials(pair.right, sites)
-        assert len(L) == len(R) == d + 1
+        R, spare = _right_partials(pair.right, sites, np.empty(2 * n * 3))
+        assert len(L) == d + 1
+        assert sorted(R) == list(range(2, d, 2)) + [d]
+        assert spare.shape == (n, 3)
+        np.testing.assert_array_equal(R[d], np.ones((n, 1)))
         for k in range(n):
             walker = np.stack([s[k] for s in sites])
             for c in range(1, d + 1):
@@ -284,7 +293,7 @@ class TestSweepPartials:
                     sub = TensorTrain(cores[:-1] + [cores[-1][:, :, a : a + 1]])
                     ref = coeff[k] * tt_product_overlap(sub, ProductState(walker[:c]))
                     assert L[c][k, a] == pytest.approx(ref, rel=1e-12, abs=1e-14)
-            for c in range(d):
+            for c in range(2, d, 2):
                 cores = [np.asarray(g) for g in pair.right.cores[c:]]
                 for a in range(R[c].shape[1]):
                     sub = TensorTrain([cores[0][a : a + 1]] + cores[1:])
@@ -340,12 +349,18 @@ def random_walkers(rng, d, n):
 
 
 def nested_ranks(d, edge, middle):
-    return [edge] + [middle] * (d - 3) + [edge]
+    return ([edge] + [middle] * (d - 3) + [edge])[: d - 1]
 
 
 class TestOneSweepFit:
     @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("d, n", [(4, 30), (7, 1), (7, 40), (10, 1), (10, 60)])
+    # odd d ends on an even-index core fitted against R_d, even d on an
+    # odd-index core taken from the two-site sum Y_{d-1}
+    @pytest.mark.parametrize(
+        "d, n",
+        [(2, 1), (2, 20), (3, 1), (3, 20), (4, 30), (5, 1), (5, 25),
+         (7, 1), (7, 40), (10, 1), (10, 60)],
+    )
     def test_matches_two_phase_oracle(self, d, n, seed):
         rng = np.random.default_rng(100 * d + 10 * n + seed)
         walkers = random_walkers(rng, d, n)
@@ -400,6 +415,24 @@ class TestOneSweepFit:
             hashes.append(out.stdout.strip())
         assert len(hashes[0]) == 64
         assert hashes[0] == hashes[1]
+
+
+class TestWorkingSet:
+    def test_sketch_peak_below_half_the_cuts(self):
+        # The right sweep keeps about d/2 partials of n * s doubles; one for
+        # every cut would need (d + 1) * n * s * 8 bytes.
+        d, n, s = 32, 2000, 60
+        rng = np.random.default_rng(11)
+        sites = np.ascontiguousarray(rng.standard_normal((d, n, 2)).transpose(0, 2, 1))
+        ens = Ensemble(sites, rng.random(n) + 0.5, rng.random(n) + 0.5, seed=0)
+        pair = make_sketch_pair(d, s, 0.1, seed=5)
+        tracemalloc.start()
+        try:
+            sketch_ensemble(ens, pair, nested_ranks(d, 2, 4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (d // 2 + 4) * n * s * 8
 
 
 class TestFitFailuresNamed:
