@@ -8,7 +8,6 @@ from .qmc_driver import (
     blocking_error,
     default_trial,
     fidelity,
-    g_sweep,
     mixed_energy,
     run,
 )

@@ -15,13 +15,14 @@ import math
 import os
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, load_config
-from .errors import ConfigError, NonFiniteResultError, TtqmcError
+from .config import FIELDS, RunConfig, load_config
+from .errors import ConfigError, NonFiniteResultError, OutputError, TtqmcError
 from .oracle import ORACLE_CAP, exact_ground
-from .qmc_driver import fidelity, g_sweep, run
+from .qmc_driver import fidelity, run
 from .spin_model import analytic_chain_energy
 from .tensor_train import save_tt
 
@@ -29,17 +30,23 @@ from .tensor_train import save_tt
 _BLAS_THREADS = {v: os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
-def _atomic_write_text(path, text):
+def _atomic_write(path, write):
+    """``write(tmp)``, then rename tmp to ``path``; an OSError names ``path``."""
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        write(tmp)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise OutputError(path, exc) from exc
+
+
+def _atomic_write_text(path, text):
+    _atomic_write(path, lambda tmp: Path(tmp).write_text(text))
 
 
 def _atomic_write_tt(path, tt):
-    tmp = f"{path}.tmp.{os.getpid()}"
-    save_tt(tmp, tt)
-    os.replace(tmp, path)
+    _atomic_write(path, lambda tmp: save_tt(tmp, tt))
 
 
 def _fmt(x):
@@ -49,7 +56,7 @@ def _fmt(x):
 
 
 def _csv_text(header, rows):
-    lines = [",".join(header)]
+    lines = [header]
     for row in rows:
         lines.append(",".join(_fmt(v) if isinstance(v, (float, np.floating)) or v is None else str(v) for v in row))
     return "\n".join(lines) + "\n"
@@ -103,7 +110,6 @@ def cmd_run(config):
     summary = _summary_payload(config, trace, reference_energy, fid, _BLAS_THREADS)
     summary_text = _strict_json(summary)
 
-    os.makedirs(config.out_dir, exist_ok=True)
     _atomic_write_text(os.path.join(config.out_dir, "trace.csv"), trace.to_csv())
     _atomic_write_text(os.path.join(config.out_dir, "summary.json"), summary_text)
     _atomic_write_tt(os.path.join(config.out_dir, "trial.tt"), trial.tt)
@@ -120,78 +126,76 @@ def cmd_run(config):
     return 0
 
 
-def _sweep_common(config, values, field_name, out_name, header):
-    """One run per value of a single swept config field; emits one CSV."""
+def _bias_rows(field, configs, args):
+    """(value, energy, stderr, reference, energy - reference) per config.
+
+    The Trotter bias grows as O(dtau^2); the population-control bias shrinks like 1/N.
+    """
     rows = []
-    for v in values:
-        cfg = replace(config, **{field_name: v})
-        lattice = cfg.lattice()
+    for cfg in configs:
         trace, _, _ = run(cfg)
-        reference_energy, _ = _reference(cfg, lattice)
-        err = None
-        if reference_energy is not None and trace.mean is not None:
-            err = trace.mean - reference_energy
+        reference_energy, _ = _reference(cfg, cfg.lattice())
+        err = None if None in (reference_energy, trace.mean) else trace.mean - reference_energy
+        v = getattr(cfg, field)
         rows.append((v, trace.mean, trace.stderr, reference_energy, err))
-        print(f"{field_name}={v}: energy={trace.mean} stderr={trace.stderr} bias={err}")
-    os.makedirs(config.out_dir, exist_ok=True)
-    _atomic_write_text(
-        os.path.join(config.out_dir, out_name),
-        _csv_text(header, rows),
-    )
+        print(f"{field}={v}: energy={trace.mean} stderr={trace.stderr} bias={err}")
     return rows
 
 
-def cmd_trotter_sweep(config, dtau_list):
-    """Energy vs imaginary-time step; bias accumulates as O(dtau^2)."""
-    if not dtau_list:
-        raise ConfigError("dtaus", "empty sweep")
-    values = sorted(float(x) for x in dtau_list)
-    _sweep_common(
-        config,
-        values,
-        "dtau",
-        "trotter.csv",
-        ("dtau", "energy", "stderr", "reference", "error"),
-    )
+def _derivative_rows(field, configs, args):
+    """(g, energy, stderr, dE/dg) per config; dE/dg is (E(g + dg) - E(g)) / dg."""
+    dg = args.dg
+    if not 0 < dg <= sys.float_info.max:
+        raise ConfigError("dg", f"must be positive and finite, got {dg}")
+    pairs = [(cfg, replace(cfg, g=cfg.g + dg)) for cfg in configs]
+    rows = []
+    for cfg, cfg_dg in pairs:
+        trace, _, _ = run(cfg)
+        trace_dg, _, _ = run(cfg_dg)
+        slope = None if None in (trace.mean, trace_dg.mean) else (trace_dg.mean - trace.mean) / dg
+        rows.append((cfg.g, trace.mean, trace.stderr, slope))
+        print(f"g={cfg.g}: energy={trace.mean} dE/dg={slope}")
+    return rows
+
+
+# subcommand: (swept field, list flag, CSV name, CSV header, row function)
+_SWEEPS = {
+    "trotter-sweep": ("dtau", "dtaus", "trotter.csv", "dtau,energy,stderr,reference,error", _bias_rows),
+    "popsize-sweep": (
+        "n_walkers", "walker_counts", "popsize.csv", "n_walkers,energy,stderr,reference,bias", _bias_rows,
+    ),
+    "gsweep": ("g", "g_values", "gsweep.csv", "g,energy,stderr,denergy_dg", _derivative_rows),
+}
+
+
+def _sweep_values(config, text, field, flag):
+    """One validated config per comma-separated value of ``--<flag>``, in increasing order.
+
+    Blank entries are skipped.  A bad entry, a repeat or no value names the
+    flag; ``RunConfig`` names a value out of the field's range.
+    """
+    parse = FIELDS[field][0]
+    values = []
+    for entry in filter(str.strip, text.split(",")):
+        try:
+            values.append(parse(entry))
+        except ValueError:
+            raise ConfigError(flag, f"cannot parse {entry.strip()!r} as {parse.__name__}") from None
+    if not values:
+        raise ConfigError(flag, "empty sweep")
+    values.sort()
+    repeated = [a for a, b in zip(values, values[1:]) if a == b]
+    if repeated:
+        raise ConfigError(flag, f"value {repeated[0]} is repeated")
+    return [replace(config, **{field: v}) for v in values]
+
+
+def _sweep(config, args, field, flag, out_name, header, make_rows):
+    """One run (or pair of runs) per swept value; writes one CSV."""
+    configs = _sweep_values(config, getattr(args, flag), field, flag)
+    csv = _csv_text(header, make_rows(field, configs, args))
+    _atomic_write_text(os.path.join(config.out_dir, out_name), csv)
     return 0
-
-
-def cmd_popsize_sweep(config, n_list):
-    """Energy vs walker count; population-control bias shrinks like 1/N."""
-    if not n_list:
-        raise ConfigError("walker_counts", "empty sweep")
-    values = sorted(int(x) for x in n_list)
-    _sweep_common(
-        config,
-        values,
-        "n_walkers",
-        "popsize.csv",
-        ("n_walkers", "energy", "stderr", "reference", "bias"),
-    )
-    return 0
-
-
-def cmd_gsweep(config, g_values, dg):
-    rows = g_sweep(config, g_values, dg)
-    os.makedirs(config.out_dir, exist_ok=True)
-    _atomic_write_text(
-        os.path.join(config.out_dir, "gsweep.csv"),
-        _csv_text(
-            ("g", "energy", "stderr", "denergy_dg"),
-            [(r["g"], r["energy"], r["stderr"], r["denergy_dg"]) for r in rows],
-        ),
-    )
-    for r in rows:
-        print(f"g={r['g']}: energy={r['energy']} dE/dg={r['denergy_dg']}")
-    return 0
-
-
-def _parse_float_list(text):
-    return [float(x) for x in text.split(",") if x.strip()]
-
-
-def _parse_int_list(text):
-    return [int(x) for x in text.split(",") if x.strip()]
 
 
 def build_parser():
@@ -218,21 +222,15 @@ def build_parser():
     p_g = sub.add_parser("gsweep", help="energy and dE/dg over field strengths")
     add_common(p_g)
     p_g.add_argument("--g-values", required=True, help="comma-separated field strengths")
-    p_g.add_argument("--dg", type=float, default=0.01, help="finite-difference offset")
+    p_g.add_argument("--dg", type=float, default=0.01, help="finite-difference offset (positive)")
 
     return parser
 
 
 def _config_from_args(args):
-    config = load_config(args.config) if args.config else RunConfig()
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out_dir is not None:
-        overrides["out_dir"] = args.out_dir
-    if args.no_reanchor:
-        overrides["reanchor"] = False
-    return replace(config, **overrides) if overrides else config
+    flags = {"seed": args.seed, "out_dir": args.out_dir, "reanchor": False if args.no_reanchor else None}
+    overrides = {k: v for k, v in flags.items() if v is not None}
+    return load_config(args.config, **overrides) if args.config else RunConfig(**overrides)
 
 
 def main(argv=None):
@@ -241,13 +239,7 @@ def main(argv=None):
         config = _config_from_args(args)
         if args.command == "run":
             return cmd_run(config)
-        if args.command == "trotter-sweep":
-            return cmd_trotter_sweep(config, _parse_float_list(args.dtaus))
-        if args.command == "popsize-sweep":
-            return cmd_popsize_sweep(config, _parse_int_list(args.walker_counts))
-        if args.command == "gsweep":
-            return cmd_gsweep(config, _parse_float_list(args.g_values), args.dg)
-        raise ConfigError("command", f"unknown command {args.command!r}")
+        return _sweep(config, args, *_SWEEPS[args.command])
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

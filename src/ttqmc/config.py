@@ -1,15 +1,59 @@
-"""Run configuration: one flat-key record, JSON-serializable, flag-overridable."""
+"""Run configuration: one flat-key record, JSON-serializable, flag-overridable.
+
+``FIELDS`` is the one table of each field's type and lower bound.
+"""
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+import os
+import sys
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ConfigError, LatticeError
 from .sketching import validate_target_ranks
 from .spin_model import PropagatorSet, build_lattice
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# Each type's name in errors and its test.  abs() against the largest double
+# compares an int exactly, so an int past the float range is refused here.
+_TYPES = {
+    int: ("an integer", _is_int),
+    int | None: ("an integer or null", lambda v: v is None or _is_int(v)),
+    float: ("a finite number", lambda v: (_is_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max),
+    bool: ("a boolean", lambda v: isinstance(v, bool)),
+    str: ("a string", lambda v: isinstance(v, str)),
+    tuple: ("a list of integers", lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v))),
+}
+
+# field: (type, inclusive lower bound or None)
+FIELDS = {
+    "lattice_kind": (str, None),
+    "lattice_dims": (tuple, None),
+    "lattice_boundary": (str, None),
+    "g": (float, 0),
+    "dtau": (float, None),
+    "n_walkers": (int, 1),
+    "total_steps": (int, 0),
+    "measure_every": (int, 1),
+    "popcontrol_every": (int, 1),
+    "sketch_every": (int, 1),
+    "sketch_stop_step": (int | None, 0),
+    "equilibration_steps": (int | None, 0),
+    "sketch_rank": (int, 1),
+    "delta": (float, 0),
+    "target_edge_rank": (int, 1),
+    "target_middle_rank": (int, 1),
+    "reanchor": (bool, None),
+    "seed": (int, 0),
+    "out_dir": (str, None),
+}
 
 
 @dataclass(frozen=True)
@@ -43,36 +87,24 @@ class RunConfig:
     out_dir: str = "runs"
 
     def __post_init__(self):
+        for name, (kind, low) in FIELDS.items():
+            value = getattr(self, name)
+            what, test = _TYPES[kind]
+            if not test(value):
+                raise ConfigError(name, f"must be {what}, got {value!r}")
+            if low is not None and value is not None and value < low:
+                raise ConfigError(name, f"must be >= {low}, got {value!r}")
         object.__setattr__(self, "lattice_dims", tuple(self.lattice_dims))
-        self.validate()
-
-    def validate(self):
-        if self.g < 0:
-            raise ConfigError("g", f"must be >= 0, got {self.g}")
+        # the rules that span fields or need more than a bound
         if self.dtau <= 0:
             raise ConfigError("dtau", f"must be positive, got {self.dtau}")
-        if self.n_walkers < 1:
-            raise ConfigError("n_walkers", f"must be >= 1, got {self.n_walkers}")
-        if self.total_steps < 0:
-            raise ConfigError("total_steps", "must be >= 0")
-        for name in ("measure_every", "popcontrol_every", "sketch_every"):
-            if getattr(self, name) < 1:
-                raise ConfigError(name, "interval must be >= 1")
-        if self.sketch_stop_step is not None and self.sketch_stop_step > self.total_steps:
-            raise ConfigError(
-                "sketch_stop_step",
-                f"{self.sketch_stop_step} exceeds total_steps {self.total_steps}",
-            )
-        if self.sketch_rank < 1:
-            raise ConfigError("sketch_rank", "must be >= 1")
-        if self.delta < 0:
-            raise ConfigError("delta", "must be >= 0")
-        if self.target_edge_rank < 1:
-            raise ConfigError("target_edge_rank", "must be >= 1")
-        if self.target_middle_rank < 1:
-            raise ConfigError("target_middle_rank", "must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed", "must be >= 0")
+        for name in ("sketch_stop_step", "equilibration_steps"):
+            value = getattr(self, name)
+            if value is not None and value > self.total_steps:
+                raise ConfigError(name, f"{value} exceeds total_steps {self.total_steps}")
+        out = self.out_dir
+        if not out or "\0" in out or (os.path.lexists(out) and not os.path.isdir(out)):
+            raise ConfigError("out_dir", f"must name a directory to create or reuse, got {out!r}")
         self._validate_propagators()
         d = self.lattice().d
         if self.reanchor:
@@ -107,8 +139,6 @@ class RunConfig:
             return build_lattice(self.lattice_kind, self.lattice_dims, self.lattice_boundary)
         except LatticeError as exc:
             raise ConfigError(f"lattice_{exc.part}", str(exc)) from exc
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("lattice_dims", str(exc)) from exc
 
     def resolved_sketch_stop(self):
         if self.sketch_stop_step is not None:
@@ -137,20 +167,15 @@ class RunConfig:
         return out
 
 
-_FIELD_NAMES = {f.name for f in fields(RunConfig)}
-
-
 def config_from_dict(data, source="config"):
-    unknown = set(data) - _FIELD_NAMES
+    unknown = set(data) - set(FIELDS)
     if unknown:
         raise ConfigError(sorted(unknown)[0], f"unknown key in {source}")
-    try:
-        return RunConfig(**data)
-    except TypeError as exc:
-        raise ConfigError("config", str(exc)) from exc
+    return RunConfig(**data)
 
 
-def load_config(path):
+def load_config(path, **overrides):
+    """The config in the JSON file ``path``, with ``overrides`` set over its keys."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -160,4 +185,4 @@ def load_config(path):
         raise ConfigError("config", f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config", f"{path} must hold a JSON object")
-    return config_from_dict(data, source=path)
+    return config_from_dict({**data, **overrides}, source=path)

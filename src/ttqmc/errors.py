@@ -115,6 +115,14 @@ class ConfigError(TtqmcError):
         self.field = field
 
 
+class OutputError(TtqmcError):
+    """An output file could not be written; the message names its path."""
+
+    def __init__(self, path, exc):
+        super().__init__(f"cannot write {path}: {exc.strerror or exc}")
+        self.path = path
+
+
 class PendingHalfStepError(TtqmcError):
     """An ensemble was observed while a half one-body step was still owed."""
 

@@ -20,11 +20,11 @@ halves as one full propagator.  Runs are bit-reproducible for a fixed seed.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DeadEnsembleError, NonFiniteResultError, ZeroOverlapError
+from .errors import DeadEnsembleError, NonFiniteResultError, ZeroOverlapError
 from .sketching import make_sketch_pair, sketch_ensemble
 from .spin_model import PropagatorSet
 from .tensor_train import TensorTrain
@@ -241,30 +241,3 @@ def run(config, initial_trial=None):
         trace.mean = float(tail[0])
     return trace, trial, ensemble
 
-
-def g_sweep(config, g_values, dg):
-    """Energy and finite-difference dE/dg at each field strength.
-
-    Runs the configured schedule twice per g (at g and g + dg); the
-    derivative column is (E(g + dg) - E(g)) / dg.
-    """
-    g_values = list(g_values)
-    if not g_values:
-        raise ConfigError("g_values", "empty sweep")
-    if any(b <= a for a, b in zip(g_values, g_values[1:])):
-        raise ConfigError("g_values", "must be strictly increasing")
-    if dg <= 0:
-        raise ConfigError("dg", "must be positive")
-    rows = []
-    for g in g_values:
-        trace_a, _, _ = run(replace(config, g=float(g)))
-        trace_b, _, _ = run(replace(config, g=float(g) + dg))
-        rows.append(
-            {
-                "g": float(g),
-                "energy": trace_a.mean,
-                "stderr": trace_a.stderr,
-                "denergy_dg": (trace_b.mean - trace_a.mean) / dg,
-            }
-        )
-    return rows

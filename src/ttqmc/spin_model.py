@@ -165,11 +165,13 @@ class PropagatorSet:
     @classmethod
     def build(cls, g, dtau):
         # dtau = 0 is the degenerate identity propagator (useful in tests).
+        # Floats first: NumPy cannot take exp of an int past int64.
+        g, dtau = float(g), float(dtau)
         if dtau < 0:
             raise ValueError(f"dtau must be non-negative, got {dtau}")
         return cls(
-            g=float(g),
-            dtau=float(dtau),
+            g=g,
+            dtau=dtau,
             one_body_half=one_body_matrix(g, dtau),
             one_body_full=one_body_matrix(g, 2.0 * dtau),
             lam=float(hs_lambda(dtau)) if dtau > 0 else 0.0,

@@ -1,16 +1,21 @@
+import errno
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import eigsh
 
 from ttqmc import cli, spin_model
-from ttqmc.config import RunConfig, load_config
+from ttqmc.config import FIELDS, RunConfig, config_from_dict, load_config
 from ttqmc.errors import ConfigError
+from ttqmc.qmc_driver import EnergyTrace
 from ttqmc.spin_model import build_lattice
 from ttqmc.tensor_train import load_tt
 
@@ -18,6 +23,16 @@ from conftest import csr_hamiltonian
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+@pytest.fixture
+def no_run(monkeypatch):
+    """Fail the test if any simulation starts."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "run", refuse)
 
 
 def write_config(tmp_path, **kw):
@@ -72,6 +87,13 @@ class TestConfig:
         assert cfg.target_ranks(6) == [2, 4, 4, 4, 2]
         assert cfg.target_ranks(4) == [2, 4, 2]
         assert cfg.target_ranks(3) == [2, 2]
+
+    def test_every_field_has_one_table_row(self):
+        assert list(FIELDS) == [f.name for f in fields(RunConfig)]
+
+    def test_integer_values_for_float_fields_echo_unchanged(self):
+        echo = config_from_dict({"g": 2, "delta": 0}).echo()
+        assert json.dumps([echo["g"], echo["delta"]]) == "[2, 0]"
 
     def test_echo_reports_resolved_values(self):
         cfg = RunConfig(total_steps=80)
@@ -154,6 +176,23 @@ class TestCmdRun:
             ({"dtau": 500.0}, "dtau"),
             ({"measure_every": 0}, "measure_every"),
             ({"total_steps": 100, "sketch_stop_step": 200}, "sketch_stop_step"),
+            ({"n_walkers": 2.5}, "n_walkers"),
+            ({"total_steps": 2.5}, "total_steps"),
+            ({"sketch_rank": 3.5}, "sketch_rank"),
+            ({"n_walkers": True}, "n_walkers"),
+            ({"delta": float("nan")}, "delta"),
+            ({"delta": float("inf")}, "delta"),
+            ({"equilibration_steps": "x"}, "equilibration_steps"),
+            ({"g": "abc"}, "g"),
+            ({"g": None}, "g"),
+            ({"dtau": "0.01"}, "dtau"),
+            ({"lattice_dims": 4}, "lattice_dims"),
+            ({"reanchor": "false"}, "reanchor"),
+            ({"measure_every": 1.5}, "measure_every"),
+            ({"lattice_dims": [4.5]}, "lattice_dims"),
+            ({"sketch_stop_step": -5}, "sketch_stop_step"),
+            ({"equilibration_steps": 41}, "equilibration_steps"),
+            ({"g": 10 ** 400}, "g"),
         ],
     )
     def test_bad_config_exit_2_names_field(self, tmp_path, capsys, overrides, field):
@@ -162,6 +201,37 @@ class TestCmdRun:
         assert cli.main(["run", "--config", cfg_path, "--out-dir", str(out)]) == 2
         assert f"config field '{field}'" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "in_file, flag", [({"out_dir": 5}, []), ({}, ["--out-dir", ""]), ({}, ["--out-dir", "TAKEN"])],
+    )
+    def test_bad_out_dir_exit_2_before_running(self, tmp_path, capsys, no_run, in_file, flag):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        argv = ["run", "--config", write_config(tmp_path, **in_file)]
+        assert cli.main(argv + [str(taken) if a == "TAKEN" else a for a in flag]) == 2
+        assert "config field 'out_dir'" in capsys.readouterr().err
+        assert taken.read_text() == "not a directory"
+
+    def test_unwritable_out_dir_exit_3_names_path(self, tmp_path, capsys):
+        # valid when loaded, but its parent is a file, so no directory can be made
+        (tmp_path / "taken").write_text("")
+        out = tmp_path / "taken" / "out"
+        cfg_path = write_config(tmp_path, total_steps=0, sketch_stop_step=0, equilibration_steps=0)
+        assert cli.main(["run", "--config", cfg_path, "--out-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"cannot write {out / 'trace.csv'}" in err
+        assert "Traceback" not in err
+
+    def test_failed_trial_write_exit_3_names_path(self, tmp_path, capsys, monkeypatch):
+        def full_disk(path, tt):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+
+        monkeypatch.setattr(cli, "save_tt", full_disk)
+        cfg_path = write_config(tmp_path, total_steps=0, sketch_stop_step=0, equilibration_steps=0)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfg_path, "--out-dir", str(out)]) == 3
+        assert f"cannot write {out / 'trial.tt'}: No space left on device" in capsys.readouterr().err
 
     def test_sketch_svd_failure_exit_3_names_cut(self, tmp_path, capsys, monkeypatch):
         def no_convergence(*args, **kwargs):
@@ -401,6 +471,145 @@ class TestSweeps:
     def test_gsweep_empty_exit_2(self, tmp_path):
         cfg_path = write_config(tmp_path)
         assert cli.main(["gsweep", "--config", cfg_path, "--g-values", ""]) == 2
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["trotter-sweep", "--dtaus", "abc"], "dtaus"),
+            (["trotter-sweep", "--dtaus", "0.01,0.01"], "dtaus"),
+            (["trotter-sweep", "--dtaus", "0.02,nan"], "dtau"),
+            (["popsize-sweep", "--walker-counts", "1.5"], "walker_counts"),
+            (["popsize-sweep", "--walker-counts", "20,0"], "n_walkers"),
+            (["gsweep", "--g-values", "1,x"], "g_values"),
+            (["gsweep", "--g-values", "1.0", "--dg", "nan"], "dg"),
+            (["gsweep", "--g-values", "1.0", "--dg", "0"], "dg"),
+            (["gsweep", "--g-values", "0.5,-1"], "g"),
+        ],
+    )
+    def test_bad_sweep_exit_2_names_flag_or_field(self, tmp_path, capsys, no_run, argv, field):
+        out = tmp_path / "out"
+        assert cli.main(argv + ["--config", write_config(tmp_path), "--out-dir", str(out)]) == 2
+        assert f"config field '{field}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_gsweep_sorts_values(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "run", _linear_fake_run(0.0, 1.0))
+        out = tmp_path / "out"
+        argv = ["gsweep", "--config", write_config(tmp_path), "--out-dir", str(out), "--g-values", "1.0,0.5"]
+        assert cli.main(argv) == 0
+        rows = (out / "gsweep.csv").read_text().splitlines()[1:]
+        assert [float(r.split(",")[0]) for r in rows] == [0.5, 1.0]
+
+    def test_gsweep_linear_function_derivative_exact(self, tmp_path, monkeypatch):
+        # the derivative column is a plain finite difference of the means
+        a, b = -3.0, 1.7
+        monkeypatch.setattr(cli, "run", _linear_fake_run(a, b))
+        out = tmp_path / "out"
+        argv = ["gsweep", "--config", write_config(tmp_path), "--out-dir", str(out), "--g-values", "0.5,1.0"]
+        assert cli.main(argv + ["--dg", "0.01"]) == 0
+        for row in (out / "gsweep.csv").read_text().splitlines()[1:]:
+            g, energy, _, slope = map(float, row.split(","))
+            assert slope == pytest.approx(b, rel=1e-9)
+            assert energy == pytest.approx(a + b * g, rel=1e-12)
+
+    def test_gsweep_without_a_mean_leaves_cells_empty(self, tmp_path):
+        # no measurement after equilibration, so no mean and no slope
+        cfg_path = write_config(
+            tmp_path, total_steps=10, measure_every=20, sketch_stop_step=10, equilibration_steps=5,
+        )
+        out = tmp_path / "out"
+        assert cli.main(["gsweep", "--config", cfg_path, "--out-dir", str(out), "--g-values", "1.0"]) == 0
+        assert (out / "gsweep.csv").read_text().splitlines()[1] == "1.0,,,"
+
+    def test_gsweep_classical_point_d8(self, tmp_path):
+        # g=0: E = -d exactly; the finite-difference slope at the classical
+        # point is second order in g, hence flat within stochastic error
+        cfg_path = write_config(
+            tmp_path, lattice_dims=[8], g=0.0, n_walkers=200, total_steps=600, measure_every=10,
+            sketch_every=50, sketch_stop_step=300, equilibration_steps=300, sketch_rank=12, seed=5,
+        )
+        out = tmp_path / "out"
+        assert cli.main(["gsweep", "--config", cfg_path, "--out-dir", str(out), "--g-values", "0"]) == 0
+        [row] = (out / "gsweep.csv").read_text().splitlines()[1:]
+        g, energy, _, slope = map(float, row.split(","))
+        assert g == 0.0
+        assert energy == pytest.approx(-8.0, abs=0.05)
+        assert abs(slope) < 1.0
+
+
+def _linear_fake_run(a, b):
+    """A stand-in for ``run`` whose mean energy is exactly a + b g."""
+
+    def fake_run(config, initial_trial=None):
+        trace = EnergyTrace(
+            steps=np.array([0]),
+            energy=np.array([a + b * config.g]),
+            total_weight=np.array([1.0]),
+            alive=np.array([1], dtype=np.int64),
+            equilibration_steps=0,
+            mean=a + b * config.g,
+            stderr=0.0,
+        )
+        return trace, None, None
+
+    return fake_run
+
+
+# The JSON type each field takes, written out here independently of the
+# config module's table.
+JSON_TYPES = {
+    "lattice_kind": "string", "lattice_dims": "integer list", "lattice_boundary": "string",
+    "g": "number", "dtau": "number", "n_walkers": "integer", "total_steps": "integer",
+    "measure_every": "integer", "popcontrol_every": "integer", "sketch_every": "integer",
+    "sketch_stop_step": "integer or null", "equilibration_steps": "integer or null",
+    "sketch_rank": "integer", "delta": "number", "target_edge_rank": "integer",
+    "target_middle_rank": "integer", "reanchor": "boolean", "seed": "integer", "out_dir": "string",
+}
+
+
+def _has_json_type(kind, v):
+    is_int = type(v) is int
+    return {
+        "string": type(v) is str,
+        "boolean": type(v) is bool,
+        "integer": is_int,
+        "integer or null": is_int or v is None,
+        "number": is_int or (type(v) is float and math.isfinite(v)),
+        "integer list": type(v) is list and all(type(x) is int for x in v),
+    }[kind]
+
+
+# Every shape a JSON value can take.  Strings come from a small alphabet
+# (no Unicode tables to build) plus the lattice names.  List entries stay
+# small: a single lattice dimension is the chain length, and the lattice is
+# built on load.
+_JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, 10 ** 400]),
+    st.text(alphabet="acehinp/.\0", max_size=8),
+    st.sampled_from(["chain", "grid", "cylinder", "open", "periodic"]),
+    st.lists(st.one_of(st.integers(-2, 40), st.floats(-2, 40)), max_size=3),
+)
+
+
+class TestOneValidator:
+    def test_json_types_cover_every_field(self):
+        assert set(JSON_TYPES) == {f.name for f in fields(RunConfig)}
+
+    @pytest.mark.parametrize("field", sorted(JSON_TYPES))
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(value=_JSON_VALUES)
+    def test_any_single_value_gives_config_or_config_error(self, field, value):
+        try:
+            config_from_dict({field: value})
+        except ConfigError as exc:
+            if not _has_json_type(JSON_TYPES[field], value):
+                assert exc.field == field
+        else:
+            assert _has_json_type(JSON_TYPES[field], value)
 
 
 class TestAtomicity:

@@ -4,7 +4,6 @@ import pytest
 from ttqmc.config import RunConfig
 from ttqmc import qmc_driver
 from ttqmc.errors import (
-    ConfigError,
     DeadEnsembleError,
     NonFiniteResultError,
     WeightError,
@@ -16,7 +15,6 @@ from ttqmc.qmc_driver import (
     blocking_error,
     default_trial,
     fidelity,
-    g_sweep,
     mixed_energy,
     run,
 )
@@ -362,54 +360,3 @@ class TestRun:
         trace, _, _ = run(quick_config())
         for phase in ("propagate", "measure", "popcontrol", "sketch"):
             assert phase in trace.diagnostics["wall_times"]
-
-
-class TestGSweep:
-    def test_linear_function_derivative_exact(self, monkeypatch):
-        # the derivative column is a plain finite difference of the means
-        a, b = -3.0, 1.7
-
-        def fake_run(config, initial_trial=None):
-            trace = EnergyTrace(
-                steps=np.array([0]),
-                energy=np.array([a + b * config.g]),
-                total_weight=np.array([1.0]),
-                alive=np.array([1], dtype=np.int64),
-                equilibration_steps=0,
-                mean=a + b * config.g,
-                stderr=0.0,
-            )
-            return trace, None, None
-
-        import ttqmc.qmc_driver as drv
-
-        monkeypatch.setattr(drv, "run", fake_run)
-        rows = drv.g_sweep(quick_config(), [0.5, 1.0], 0.01)
-        for row in rows:
-            assert row["denergy_dg"] == pytest.approx(b, rel=1e-9)
-            assert row["energy"] == pytest.approx(a + b * row["g"], rel=1e-12)
-
-    def test_unsorted_rejected(self):
-        with pytest.raises(ConfigError):
-            g_sweep(quick_config(), [1.0, 0.5], 0.01)
-        with pytest.raises(ConfigError):
-            g_sweep(quick_config(), [], 0.01)
-
-    def test_classical_point_d8(self):
-        # g=0: E = -d exactly; the finite-difference slope at the classical
-        # point is second order in g, hence flat within stochastic error
-        cfg = RunConfig(
-            lattice_dims=(8,),
-            lattice_boundary="periodic",
-            g=0.0,
-            n_walkers=200,
-            total_steps=600,
-            sketch_every=50,
-            sketch_stop_step=300,
-            equilibration_steps=300,
-            sketch_rank=12,
-            seed=5,
-        )
-        rows = g_sweep(cfg, [0.0], 0.01)
-        assert rows[0]["energy"] == pytest.approx(-8.0, abs=0.05)
-        assert abs(rows[0]["denergy_dg"]) < 1.0
