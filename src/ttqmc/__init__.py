@@ -31,7 +31,6 @@ from .tensor_train import (
 )
 from .walker_engine import (
     Ensemble,
-    TrialHandle,
     Walker,
     population_control,
     reanchor_overlaps,

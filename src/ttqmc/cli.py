@@ -112,7 +112,7 @@ def cmd_run(config):
 
     _atomic_write_text(os.path.join(config.out_dir, "trace.csv"), trace.to_csv())
     _atomic_write_text(os.path.join(config.out_dir, "summary.json"), summary_text)
-    _atomic_write_tt(os.path.join(config.out_dir, "trial.tt"), trial.tt)
+    _atomic_write_tt(os.path.join(config.out_dir, "trial.tt"), trial)
 
     if trace.mean is not None:
         line = f"energy = {trace.mean:.10f}"

@@ -98,6 +98,8 @@ class RunConfig:
         # the rules that span fields or need more than a bound
         if self.dtau <= 0:
             raise ConfigError("dtau", f"must be positive, got {self.dtau}")
+        if self.seed >= 2 ** 64:
+            raise ConfigError("seed", f"must fit the streams' 64-bit key (< 2**64), got {self.seed}")
         for name in ("sketch_stop_step", "equilibration_steps"):
             value = getattr(self, name)
             if value is not None and value > self.total_steps:
@@ -151,11 +153,15 @@ class RunConfig:
         return self.resolved_sketch_stop()
 
     def target_ranks(self, d):
-        """Edge/middle rank pattern clipped to what d admits."""
+        """Edge/middle rank pattern clipped to what d admits (2^min(c, d - c) at cut c).
+
+        The power is formed only while it can be below the rank, so the cost is linear in d.
+        """
         ranks = []
         for c in range(1, d):
-            r = self.target_edge_rank if c in (1, d - 1) else self.target_middle_rank
-            ranks.append(min(r, 2 ** c, 2 ** (d - c), self.sketch_rank))
+            r = min(self.target_edge_rank if c in (1, d - 1) else self.target_middle_rank, self.sketch_rank)
+            e = min(c, d - c)
+            ranks.append(min(r, 2 ** e) if e < r.bit_length() else r)
         return ranks
 
     def echo(self):

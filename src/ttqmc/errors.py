@@ -49,10 +49,10 @@ class DeadEnsembleError(TtqmcError):
 class WeightError(TtqmcError):
     """A walker weight is non-finite or negative, or an overlap non-finite.
 
-    Raised by a step, the comb and the mixed estimator.  ``diagnostics``
-    holds the step and the first bad walker with its bad ``quantity``
-    ("weight" or "overlap"; walker None when every weight is finite but
-    their sum overflows); the message already names all three.
+    Raised by a step, a re-anchor, the comb and the mixed estimator.
+    ``diagnostics`` holds the step and the first bad walker with its bad
+    ``quantity`` ("weight" or "overlap"; walker None when every weight is
+    finite but their sum overflows); the message already names all three.
     """
 
     def __init__(self, step, walker, value, user, quantity="weight"):

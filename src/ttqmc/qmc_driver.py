@@ -27,11 +27,10 @@ import numpy as np
 from .errors import DeadEnsembleError, NonFiniteResultError, ZeroOverlapError
 from .sketching import make_sketch_pair, sketch_ensemble
 from .spin_model import PropagatorSet
-from .tensor_train import TensorTrain
+from .tensor_train import TensorTrain, tt_to_dense
 from .walker_engine import (
     _PURPOSE_POP,
     Ensemble,
-    TrialHandle,
     checked_weight_sum,
     population_control,
     reanchor_overlaps,
@@ -139,10 +138,10 @@ def blocking_error(samples):
     return mean, err
 
 
-def fidelity(trial, reference, cap=20):
-    """|<trial, ref>| / (||trial|| ||ref||), in [0, 1]."""
+def fidelity(trial, reference):
+    """|<trial, ref>| / (||trial|| ||ref||) for a TT ``trial``, in [0, 1]."""
     ref = np.asarray(reference, dtype=np.float64)
-    vec = trial.to_dense(cap=cap)
+    vec = tt_to_dense(trial)
     if vec.size != ref.size:
         raise ValueError(f"trial has {vec.size} amplitudes, reference {ref.size}")
     denom = np.linalg.norm(vec) * np.linalg.norm(ref)
@@ -152,28 +151,23 @@ def fidelity(trial, reference, cap=20):
 
 
 def default_trial(d):
-    """The fully disordered state as a rank-1 TT handle."""
-    return TrialHandle.from_tt(TensorTrain.disordered(d))
+    """The fully disordered state 2^{-d/2} (1,1)^{otimes d} as a rank-1 TT."""
+    return TensorTrain.from_product(np.full((d, 2), 2.0 ** -0.5))
 
 
-def run(config, initial_trial=None):
-    """Execute the full schedule; returns (trace, final trial, final ensemble).
+def run(config):
+    """Execute the full schedule; returns (trace, final trial TT, final ensemble).
 
-    Walkers start as copies of the initial trial when it is separable,
-    otherwise as copies of the disordered state with overlaps taken against
-    the given trial.  Deterministic for a fixed config and seed.
+    The walkers start as copies of the disordered state ``default_trial(d)``,
+    which is also the first trial.  Deterministic for a fixed config and seed.
     """
     lattice = config.lattice()
     prop = PropagatorSet.build(config.g, config.dtau)
     sketch_stop = config.resolved_sketch_stop()
     d = lattice.d
 
-    base = default_trial(d)
-    trial = initial_trial if initial_trial is not None else base
-    seed_src = trial if trial.as_product_sites() is not None else base
-    ensemble = Ensemble.from_trial_product(seed_src, config.n_walkers, config.seed)
-    if trial is not seed_src:
-        reanchor_overlaps(ensemble, trial)
+    trial = default_trial(d)
+    ensemble = Ensemble.from_trial_product(trial, config.n_walkers, config.seed)
 
     pair = None
     if config.reanchor:
@@ -213,8 +207,7 @@ def run(config, initial_trial=None):
                 t0 = time.perf_counter()
                 # the outgoing trial's overlap cache is dead weight during the fit
                 ensemble.detach()
-                tt = sketch_ensemble(ensemble, pair, target_ranks)
-                trial = TrialHandle.from_tt(tt)
+                trial = sketch_ensemble(ensemble, pair, target_ranks)
                 reanchor_overlaps(ensemble, trial)
                 timers["sketch"] += time.perf_counter() - t0
     except DeadEnsembleError as exc:

@@ -105,12 +105,6 @@ class TensorTrain:
         cores.append(rest.reshape(-1, 2, 1))
         return cls(cores)
 
-    @classmethod
-    def disordered(cls, d):
-        """The fully disordered state 2^{-d/2} (1,1)^{otimes d} as a rank-1 TT."""
-        v = np.full(2, 2.0 ** -0.5)
-        return cls.from_product([v] * d)
-
 
 class ProductState:
     """A separable wavefunction: one length-2 real vector per site."""
@@ -185,19 +179,18 @@ def advance_right(R, wr, v):
     return h[0] + h[1]
 
 
-def product_overlaps(wrs, sites):
+def product_overlaps(tt, sites):
     """<tt, phi_k> for a batch of product states, by one right-to-left sweep.
 
-    ``wrs`` holds ``right_transfer`` of every core, ``sites`` the (d, 2, n)
-    site array.  Cost O(d r^2 n).  The overlap cache of ``walker_engine``
-    sweeps in the same direction, so stored and directly computed overlaps
-    share one contraction path.
+    ``sites`` is the (d, 2, n) site array.  Cost O(d r^2 n).  The overlap
+    cache of ``walker_engine`` sweeps in the same direction, so stored and
+    directly computed overlaps share one contraction path.
     """
-    if len(wrs) != len(sites):
-        raise DimensionMismatchError(f"tt has d={len(wrs)}, product states have d={len(sites)}")
+    if tt.d != len(sites):
+        raise DimensionMismatchError(f"tt has d={tt.d}, product states have d={len(sites)}")
     R = np.ones((1, sites.shape[-1]))
-    for wr, v in zip(reversed(wrs), reversed(sites)):
-        R = advance_right(R, wr, v)
+    for core, v in zip(reversed(tt.cores), reversed(sites)):
+        R = advance_right(R, right_transfer(core), v)
     return R[0]
 
 

@@ -30,13 +30,15 @@ represented ensemble sum_k w_k phi_k / O_tr(phi_k) is invariant under that.
 
 The site vectors are one C-contiguous (d, 2, n_walkers) array, walker-last,
 that every update writes in place and the overlap cache shares.  Every
-trial is a tensor train (``TrialHandle``), and every overlap goes through
+trial is a ``TensorTrain``: a product state is rank 1, a re-anchored trial
+is the TT that ``sketch_ensemble`` fits, and a dense vector becomes an
+exact TT through ``TensorTrain.from_dense``.  Every overlap goes through
 the walker-last kernel of ``tensor_train``: partial contractions are
 (rank, n_walkers) arrays, and a site step is one GEMM with the core's
 stacked transfer matrix followed by the two physical halves
 (C_i^T L) * sites[m][i].  Overlaps are contracted right to left, in the
-cache and in ``TrialHandle.overlap`` (``product_overlaps`` on a batch of
-one), so stored and directly computed overlaps share one path.
+cache and in ``product_overlaps``, so stored and directly computed
+overlaps share one path.
 
 A bond at chain positions (p, q) yields both field overlaps from one pass:
 the sum and the difference of the site-p halves (the difference is sigma^z
@@ -74,14 +76,11 @@ from .errors import (
 )
 from .tensor_train import (
     ProductState,
-    TensorTrain,
     advance_left,
     left_halves,
     left_transfer,
-    product_overlaps,
     right_halves,
     right_transfer,
-    tt_to_dense,
 )
 
 _PURPOSE_BOND = 1
@@ -103,52 +102,6 @@ class Walker:
     overlap: float
 
 
-class TrialHandle:
-    """A trial wavefunction, always a tensor train, ready for overlaps.
-
-    A product-state trial is a rank-1 TT, a re-anchored trial is the TT that
-    ``sketch_ensemble`` fits, and a dense vector becomes an exact TT through
-    ``TensorTrain.from_dense``, so every overlap runs through ``_TTCache``
-    and the walker-last kernel of ``tensor_train``.  The handle is
-    immutable; overlap caches are built per ensemble, not stored here.
-    ``wl`` and ``wr`` are the stacked per-core transfer matrices of that
-    kernel.
-    """
-
-    __slots__ = ("tt", "d", "wl", "wr")
-
-    def __init__(self, tt):
-        self.tt = tt
-        self.d = tt.d
-        self.wl = [left_transfer(c) for c in tt.cores]
-        self.wr = [right_transfer(c) for c in tt.cores]
-
-    @classmethod
-    def from_tt(cls, tt):
-        return cls(tt)
-
-    @classmethod
-    def from_product(cls, phi):
-        return cls.from_tt(phi.as_tt())
-
-    @classmethod
-    def from_dense(cls, vec):
-        return cls.from_tt(TensorTrain.from_dense(vec))
-
-    def overlap(self, phi):
-        """<psi_tr, phi> by direct contraction (no cache), through ``wr``."""
-        return float(product_overlaps(self.wr, phi.sites[:, :, None])[0])
-
-    def to_dense(self, cap=20):
-        return tt_to_dense(self.tt, cap=cap)
-
-    def as_product_sites(self):
-        """Site vectors if this trial is separable (rank-1), else None."""
-        if any(r != 1 for r in self.tt.ranks):
-            return None
-        return np.stack([c.reshape(2) for c in self.tt.cores])
-
-
 class _TTCache:
     """Walker-last partial contractions <psi_tr, phi_k> over an ensemble.
 
@@ -167,12 +120,14 @@ class _TTCache:
     Otherwise (an earlier bond changed site q) the halves are recomputed
     from right(q+1).  ``bond_overlaps`` keeps the site-p halves so that
     ``apply_bond`` can store the new left[p+1] without recontraction.
+    ``wl`` and ``wr`` are the trial's stacked per-core transfer matrices.
     """
 
-    def __init__(self, handle, sites):
-        self.handle = handle
+    def __init__(self, tt, sites):
         self.sites = sites  # the Ensemble's (d, 2, n) array, shared
-        d = handle.d
+        self.d = d = tt.d
+        self.wl = [left_transfer(c) for c in tt.cores]
+        self.wr = [right_transfer(c) for c in tt.cores]
         n = sites.shape[-1]
         self.left = [None] * (d + 1)
         self.left[0] = np.ones((1, n))
@@ -185,25 +140,25 @@ class _TTCache:
     def ensure_left(self, m):
         while self.lv < m:
             j = self.lv
-            self.left[j + 1] = advance_left(self.left[j], self.handle.wl[j], self.sites[j])
+            self.left[j + 1] = advance_left(self.left[j], self.wl[j], self.sites[j])
             self.lv += 1
 
     def ensure_right(self, m):
         while self.rv > m:
             j = self.rv - 1
-            self.rhalf[j] = right_halves(self.right(j + 1), self.handle.wr[j], self.sites[j])
+            self.rhalf[j] = right_halves(self.right(j + 1), self.wr[j], self.sites[j])
             self.rv -= 1
 
     def right(self, m):
         """The right partial (r_m, n) over sites >= m; needs m >= rv."""
-        if m == self.handle.d:
+        if m == self.d:
             return self._ones
         h = self.rhalf[m]
         return h[0] + h[1]
 
     def note_all_changed(self):
         self.lv = 0
-        self.rv = self.handle.d
+        self.rv = self.d
 
     def overlaps(self):
         """<psi, phi_k> from right(0): the sweep of ``product_overlaps``."""
@@ -215,7 +170,7 @@ class _TTCache:
         if self.rv <= q:
             return self.rhalf[q]
         self.ensure_right(q + 1)
-        return right_halves(self.right(q + 1), self.handle.wr[q], self.sites[q])
+        return right_halves(self.right(q + 1), self.wr[q], self.sites[q])
 
     def _bond_dots(self, p, q):
         """Sum and difference contractions of a bond, dotted with site q.
@@ -228,7 +183,7 @@ class _TTCache:
         """
         self.ensure_left(p)
         b = self.site_right_halves(q)
-        wl, sites = self.handle.wl, self.sites
+        wl, sites = self.wl, self.sites
         h = left_halves(self.left[p], wl[p], sites[p])
         if self.lv == p:
             self.left[p + 1] = h[0] + h[1]
@@ -255,11 +210,11 @@ class _TTCache:
         self.rv = max(self.rv, q + 1)
 
     def ensure_measure(self):
-        self.ensure_left(self.handle.d)
+        self.ensure_left(self.d)
         self.ensure_right(0)
 
     def sigma_x_overlaps(self, m):
-        flipped = advance_left(self.left[m], self.handle.wl[m], self.sites[m][::-1])
+        flipped = advance_left(self.left[m], self.wl[m], self.sites[m][::-1])
         return np.einsum("rn,rn->n", flipped, self.right(m + 1))
 
     def zz_overlaps(self, p, q):
@@ -295,10 +250,8 @@ class Ensemble:
 
     @classmethod
     def from_trial_product(cls, trial, n_walkers, seed):
-        """All walkers initialized to the (separable) trial, weight 1."""
-        psites = trial.as_product_sites()
-        if psites is None:
-            raise ValueError("initial walkers need a separable (rank-1) trial")
+        """All walkers initialized to the rank-1 TT ``trial``, weight 1."""
+        psites = _product_sites(trial)
         sites = np.broadcast_to(psites[:, :, None], psites.shape + (n_walkers,))
         ens = cls(sites, np.ones(n_walkers), np.empty(n_walkers), seed)
         cache = ens.attach(trial)
@@ -335,7 +288,7 @@ class Ensemble:
         return Walker(state=state, weight=float(self.weight[k]), overlap=float(self.ovlp[k]))
 
     def attach(self, trial):
-        """Bind (or reuse) the overlap cache for this trial."""
+        """Bind (or reuse) the overlap cache for the TT ``trial``."""
         if self._cache is None or self._trial is not trial:
             self._cache = _TTCache(trial, self.sites)
             self._trial = trial
@@ -345,6 +298,13 @@ class Ensemble:
         """Drop the overlap cache; the next ``attach`` builds a fresh one."""
         self._cache = None
         self._trial = None
+
+
+def _product_sites(tt):
+    """The (d, 2) site vectors of a rank-1 TT; ValueError for higher rank."""
+    if any(r != 1 for r in tt.ranks):
+        raise ValueError("initial walkers need a separable (rank-1) trial")
+    return np.stack([c.reshape(2) for c in tt.cores])
 
 
 def _write_masked(arr, mask, all_true, values):
@@ -538,12 +498,20 @@ def population_control(ensemble, rng):
     return ensemble
 
 
+@np.errstate(all="ignore")
 def reanchor_overlaps(ensemble, new_trial):
-    """Swap the trial: recompute cached overlaps, kill non-positive ones."""
+    """Swap the trial: recompute cached overlaps, kill non-positive ones.
+
+    With no NumPy warning, an alive walker's non-finite fresh overlap raises WeightError.
+    """
     ensemble.require_settled("reanchor_overlaps")
     alive = ensemble.alive
     cache = ensemble.attach(new_trial)
-    fresh = np.maximum(cache.overlaps(), 0.0)
+    raw = cache.overlaps()
+    bad = np.flatnonzero(alive & ~np.isfinite(raw))
+    if bad.size:
+        raise WeightError(ensemble.step, int(bad[0]), float(raw[bad[0]]), "re-anchoring", "overlap")
+    fresh = np.maximum(raw, 0.0)
     killed = alive & (fresh <= 0.0)
     ensemble.ovlp = np.where(alive, fresh, ensemble.ovlp)
     ensemble.weight = np.where(killed, 0.0, ensemble.weight)

@@ -28,10 +28,9 @@ def random_positive_product(rng, d):
 
 def tt_product_overlap(tt, phi):
     """<tt, phi> for one product state: ``product_overlaps`` on a batch of one."""
-    from ttqmc.tensor_train import product_overlaps, right_transfer
+    from ttqmc.tensor_train import product_overlaps
 
-    wrs = [right_transfer(c) for c in tt.cores]
-    return float(product_overlaps(wrs, phi.sites[:, :, None])[0])
+    return float(product_overlaps(tt, phi.sites[:, :, None])[0])
 
 
 def csr_hamiltonian(lattice, g):

@@ -24,10 +24,9 @@ from ttqmc.spin_model import (
     dense_hamiltonian,
     one_body_matrix,
 )
-from ttqmc.tensor_train import ProductState, tt_to_dense
+from ttqmc.tensor_train import ProductState, TensorTrain, product_overlaps, tt_to_dense
 from ttqmc.walker_engine import (
     Ensemble,
-    TrialHandle,
     Walker,
     population_control,
     reanchor_overlaps,
@@ -150,12 +149,14 @@ def test_criterion_3_overlap_constancy():
     worst = 0.0
     for _ in range(1000):
         d = int(rng.integers(3, 8))
-        trial = TrialHandle.from_product(
-            ProductState(np.exp(0.6 * rng.standard_normal((d, 2))))
-        )
+        trial = ProductState(np.exp(0.6 * rng.standard_normal((d, 2)))).as_tt()
         sites = np.exp(0.6 * rng.standard_normal((d, 2)))
         state = ProductState(sites)
-        walker = Walker(state, float(np.exp(rng.standard_normal())), trial.overlap(state))
+        walker = Walker(
+            state,
+            float(np.exp(rng.standard_normal())),
+            float(product_overlaps(trial, state.sites[:, :, None])[0]),
+        )
         p, q = sorted(rng.choice(d, size=2, replace=False))
         vals = []
         for u in (1e-12, 1.0 - 1e-12):
@@ -168,7 +169,9 @@ def test_criterion_3_overlap_constancy():
                     return self.v if n is None else np.full(n, self.v)
 
             out = sample_bond(walker, (p, q), trial, prop, _U(u))
-            vals.append(out.weight * trial.overlap(out.state) / out.overlap)
+            vals.append(
+                out.weight * float(product_overlaps(trial, out.state.sites[:, :, None])[0]) / out.overlap
+            )
         worst = max(worst, abs(vals[0] - vals[1]) / abs(vals[0]))
     _report(3, worst < 1e-12, f"worst branch rel. diff {worst:.2e} over 1000 triples (< 1e-12)")
 
@@ -176,7 +179,7 @@ def test_criterion_3_overlap_constancy():
 def test_criterion_4_zero_variance():
     lat = build_lattice("chain", (8,), "open")
     sol = exact_ground(lat, 1.0)
-    trial = TrialHandle.from_dense(sol.ground_state)
+    trial = TensorTrain.from_dense(sol.ground_state)
     ens = Ensemble.from_trial_product(default_trial(8), 500, seed=0)
     reanchor_overlaps(ens, trial)
     prop = PropagatorSet.build(1.0, 0.01)
@@ -299,7 +302,7 @@ def test_criterion_11_linear_cost_in_d():
         cache.note_all_changed()
         ens.ovlp = np.maximum(cache.overlaps(), 1e-300)
         tt = sketch_ensemble(ens, pair, ranks)  # warm-up + trial builder
-        trial = TrialHandle.from_tt(tt)
+        trial = tt
         for _ in range(3):
             t0 = time.perf_counter()
             sketch_ensemble(ens, pair, ranks)

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from dataclasses import fields
 
 import numpy as np
@@ -87,6 +88,21 @@ class TestConfig:
         assert cfg.target_ranks(6) == [2, 4, 4, 4, 2]
         assert cfg.target_ranks(4) == [2, 4, 2]
         assert cfg.target_ranks(3) == [2, 2]
+
+    def test_target_ranks_clip_to_every_cut(self):
+        cfg = RunConfig(reanchor=False, sketch_rank=40, target_edge_rank=5, target_middle_rank=70)
+        for d in range(2, 16):
+            expected = [
+                min(5 if c in (1, d - 1) else 70, 2 ** c, 2 ** (d - c), 40) for c in range(1, d)
+            ]
+            assert cfg.target_ranks(d) == expected, d
+
+    def test_long_chain_loads_in_linear_time(self):
+        # the rank clip forms no 2^c integer for large c; forming them made
+        # a d=65536 load take about 10 s
+        t0 = time.perf_counter()
+        RunConfig(lattice_dims=[65536])
+        assert time.perf_counter() - t0 < 2.0
 
     def test_every_field_has_one_table_row(self):
         assert list(FIELDS) == [f.name for f in fields(RunConfig)]
@@ -193,6 +209,7 @@ class TestCmdRun:
             ({"sketch_stop_step": -5}, "sketch_stop_step"),
             ({"equilibration_steps": 41}, "equilibration_steps"),
             ({"g": 10 ** 400}, "g"),
+            ({"seed": 2 ** 64}, "seed"),
         ],
     )
     def test_bad_config_exit_2_names_field(self, tmp_path, capsys, overrides, field):
@@ -540,7 +557,7 @@ class TestSweeps:
 def _linear_fake_run(a, b):
     """A stand-in for ``run`` whose mean energy is exactly a + b g."""
 
-    def fake_run(config, initial_trial=None):
+    def fake_run(config):
         trace = EnergyTrace(
             steps=np.array([0]),
             energy=np.array([a + b * config.g]),

@@ -19,10 +19,10 @@ from ttqmc.qmc_driver import (
     run,
 )
 from ttqmc.spin_model import PropagatorSet, build_lattice
-from ttqmc.tensor_train import ProductState, tt_to_dense
-from ttqmc.walker_engine import Ensemble, TrialHandle, Walker, reanchor_overlaps, step
+from ttqmc.tensor_train import ProductState, TensorTrain, tt_to_dense
+from ttqmc.walker_engine import Ensemble, Walker, reanchor_overlaps, step
 
-from conftest import random_positive_product
+from conftest import random_positive_product, tt_product_overlap
 
 
 def quick_config(**kw):
@@ -46,9 +46,9 @@ def local_energy(trial, walker, lattice, g):
     """<psi_tr, H phi> / <psi_tr, phi> for a single walker, term by term.
 
     An oracle for ``_batch_local_energies``: every term is a direct
-    ``trial.overlap`` of one modified product state, with no cache.
+    ``tt_product_overlap`` of one modified product state, with no cache.
     """
-    den = trial.overlap(walker.state)
+    den = tt_product_overlap(trial, walker.state)
     if den == 0.0:
         raise ZeroOverlapError("trial-walker overlap is zero")
     sites = walker.state.sites
@@ -56,14 +56,14 @@ def local_energy(trial, walker, lattice, g):
     for m in range(walker.state.d):
         flipped = sites.copy()
         flipped[m] = sites[m, ::-1]
-        sx += trial.overlap(ProductState(flipped))
+        sx += tt_product_overlap(trial, ProductState(flipped))
     zz = 0.0
     sign = np.array([1.0, -1.0])
     for p, q in lattice.chain_bonds:
         mod = sites.copy()
         mod[p] = sites[p] * sign
         mod[q] = sites[q] * sign
-        zz += trial.overlap(ProductState(mod))
+        zz += tt_product_overlap(trial, ProductState(mod))
     return (-g * sx - zz) / den
 
 
@@ -73,16 +73,16 @@ class TestLocalEnergy:
         lat = build_lattice("chain", (2,), "open")
         trial = default_trial(2)
         state = ProductState(np.ones((2, 2)))
-        walker = Walker(state, 1.0, trial.overlap(state))
+        walker = Walker(state, 1.0, tt_product_overlap(trial, state))
         assert local_energy(trial, walker, lat, 1.0) == pytest.approx(-2.0, abs=1e-13)
 
     def test_exact_trial_gives_e0_for_any_walker(self, rng):
         lat = build_lattice("chain", (2,), "open")
         sol = exact_ground(lat, 1.0)
-        trial = TrialHandle.from_dense(sol.ground_state)
+        trial = TensorTrain.from_dense(sol.ground_state)
         for _ in range(5):
             state = ProductState(rng.standard_normal((2, 2)) + 1.5)
-            walker = Walker(state, 1.0, trial.overlap(state))
+            walker = Walker(state, 1.0, tt_product_overlap(trial, state))
             assert local_energy(trial, walker, lat, 1.0) == pytest.approx(
                 -np.sqrt(5.0), abs=1e-12
             )
@@ -91,12 +91,12 @@ class TestLocalEnergy:
         lat = build_lattice("chain", (4,), "periodic")
         trial = default_trial(4)
         state = ProductState(np.tile([1.0, 0.0], (4, 1)))
-        walker = Walker(state, 1.0, trial.overlap(state))
+        walker = Walker(state, 1.0, tt_product_overlap(trial, state))
         assert local_energy(trial, walker, lat, 0.0) == pytest.approx(-4.0, abs=1e-13)
 
     def test_zero_denominator_error(self):
         lat = build_lattice("chain", (2,), "open")
-        trial = TrialHandle.from_product(ProductState([[1.0, -1.0], [1.0, 1.0]]))
+        trial = ProductState([[1.0, -1.0], [1.0, 1.0]]).as_tt()
         state = ProductState([[1.0, 1.0], [1.0, 0.0]])
         walker = Walker(state, 1.0, 0.0)
         with pytest.raises(ZeroOverlapError):
@@ -151,7 +151,7 @@ class TestMixedEnergy:
     def test_matches_explicit_weighted_mean(self, rng):
         # estimator consistency: batch path vs single-walker local energies
         lat = build_lattice("chain", (5,), "periodic")
-        trial = TrialHandle.from_product(random_positive_product(rng, 5))
+        trial = random_positive_product(rng, 5).as_tt()
         ens = Ensemble.from_trial_product(default_trial(5), 10, seed=2)
         reanchor_overlaps(ens, trial)
         step(ens, trial, lat, PropagatorSet.build(1.0, 0.05))
@@ -164,7 +164,7 @@ class TestMixedEnergy:
     def test_exact_trial_zero_variance(self, rng):
         lat = build_lattice("chain", (4,), "open")
         sol = exact_ground(lat, 1.0)
-        trial = TrialHandle.from_dense(sol.ground_state)
+        trial = TensorTrain.from_dense(sol.ground_state)
         ens = Ensemble.from_trial_product(default_trial(4), 15, seed=4)
         for m in range(4):
             ens.sites[m] = (np.abs(rng.standard_normal((15, 2))) + 0.2).T
@@ -228,14 +228,12 @@ class TestBlockingError:
 class TestFidelity:
     def test_identical(self):
         trial = default_trial(4)
-        assert fidelity(trial, trial.to_dense()) == pytest.approx(1.0, rel=1e-14)
+        assert fidelity(trial, tt_to_dense(trial)) == pytest.approx(1.0, rel=1e-14)
 
     def test_orthogonal(self):
         trial = default_trial(3)
-        other = TrialHandle.from_product(
-            ProductState(np.tile([1.0, -1.0], (3, 1)))
-        )
-        assert fidelity(trial, other.to_dense()) == pytest.approx(0.0, abs=1e-14)
+        other = ProductState(np.tile([1.0, -1.0], (3, 1))).as_tt()
+        assert fidelity(trial, tt_to_dense(other)) == pytest.approx(0.0, abs=1e-14)
 
     def test_strong_field_ground_state_is_disordered(self):
         # for g >> 1 the ground state approaches the uniform x-polarized state
@@ -249,7 +247,7 @@ class TestFidelity:
 
     def test_scale_invariant_and_clipped(self):
         trial = default_trial(5)
-        assert fidelity(trial, -7.3 * trial.to_dense()) == 1.0
+        assert fidelity(trial, -7.3 * tt_to_dense(trial)) == 1.0
 
 
 class TestEnergyTrace:
@@ -272,7 +270,7 @@ class TestRun:
         assert ens.step == 0
         # trial unchanged: still the disordered product
         np.testing.assert_allclose(
-            tt_to_dense(trial.tt), tt_to_dense(default_trial(4).tt)
+            tt_to_dense(trial), tt_to_dense(default_trial(4))
         )
 
     def test_trace_is_deterministic(self):
@@ -298,8 +296,8 @@ class TestRun:
 
     def test_reanchoring_swaps_trial(self):
         trace, trial, _ = run(quick_config())
-        assert trial.tt.ranks != default_trial(4).tt.ranks or not np.allclose(
-            tt_to_dense(trial.tt), tt_to_dense(default_trial(4).tt)
+        assert trial.ranks != default_trial(4).ranks or not np.allclose(
+            tt_to_dense(trial), tt_to_dense(default_trial(4))
         )
         assert len(trace.diagnostics["reanchor_kills"]) == 2
 
@@ -323,13 +321,6 @@ class TestRun:
         # one-sided variational alarm: the mixed estimator of a converged
         # re-anchored run must never sit far below the true ground energy
         assert trace.mean >= e0 - 5.0 * trace.stderr
-
-    def test_custom_dense_initial_trial(self):
-        lat = build_lattice("chain", (4,), "periodic")
-        sol = exact_ground(lat, 1.0)
-        cfg = quick_config(reanchor=False, equilibration_steps=0)
-        trace, _, _ = run(cfg, initial_trial=TrialHandle.from_dense(sol.ground_state))
-        np.testing.assert_allclose(trace.energy, sol.energy, atol=1e-9)
 
     def test_settles_on_measure_comb_sketch_and_last_steps(self, monkeypatch):
         from ttqmc import qmc_driver

@@ -3,6 +3,7 @@ import pytest
 
 from ttqmc.errors import DenseCapError, DimensionMismatchError
 from ttqmc.oracle import exact_ground
+from ttqmc.qmc_driver import default_trial
 from ttqmc.spin_model import build_lattice
 from ttqmc.tensor_train import (
     ProductState,
@@ -66,7 +67,7 @@ class TestProductOverlap:
 
     def test_disordered_times_all_ones(self):
         # (1/4) * 2^4 by separable factorization
-        tt = TensorTrain.disordered(4)
+        tt = default_trial(4)
         phi = ProductState(np.ones((4, 2)))
         assert tt_product_overlap(tt, phi) == pytest.approx(4.0, rel=1e-14)
 
@@ -104,7 +105,7 @@ class TestTTOverlap:
         assert tt_tt_overlap(tt, tt) == pytest.approx(1.0, abs=1e-15)
 
     def test_orthogonal_per_site(self):
-        a = TensorTrain.disordered(3)
+        a = default_trial(3)
         b = TensorTrain.from_product(np.tile([1.0 / np.sqrt(2), -1.0 / np.sqrt(2)], (3, 1)))
         assert tt_tt_overlap(a, b) == pytest.approx(0.0, abs=1e-15)
 
@@ -136,7 +137,7 @@ class TestToDense:
         assert tt_to_dense(ones_rank1(2)) == pytest.approx([1, 1, 1, 1])
 
     def test_disordered_d2(self):
-        assert tt_to_dense(TensorTrain.disordered(2)) == pytest.approx([0.5] * 4)
+        assert tt_to_dense(default_trial(2)) == pytest.approx([0.5] * 4)
 
     def test_every_entry_matches_basis_overlap(self, rng):
         # exhaustive basis check at d=4

@@ -16,11 +16,11 @@ from ttqmc.tensor_train import (
     advance_right,
     product_overlaps,
     right_halves,
+    right_transfer,
     tt_to_dense,
 )
 from ttqmc.walker_engine import (
     Ensemble,
-    TrialHandle,
     Walker,
     comb_copy_counts,
     population_control,
@@ -30,7 +30,7 @@ from ttqmc.walker_engine import (
     stream,
 )
 
-from conftest import random_positive_product, random_tt
+from conftest import random_positive_product, random_tt, tt_product_overlap
 
 
 def uniform_trial(d):
@@ -39,7 +39,7 @@ def uniform_trial(d):
 
 def positive_walker(rng, d, trial):
     state = random_positive_product(rng, d)
-    return Walker(state=state, weight=1.0, overlap=trial.overlap(state))
+    return Walker(state=state, weight=1.0, overlap=tt_product_overlap(trial, state))
 
 
 def apply_one_body(walker, trial, propagators):
@@ -63,7 +63,7 @@ class TestApplyOneBody:
         # d=1, g=1, dtau=0.01, uniform trial, walker (1,0):
         # new overlap / old = (cosh + sinh)(0.005) = e^{0.005}
         trial = uniform_trial(1)
-        walker = Walker(ProductState([[1.0, 0.0]]), 1.0, trial.overlap(ProductState([[1.0, 0.0]])))
+        walker = Walker(ProductState([[1.0, 0.0]]), 1.0, tt_product_overlap(trial, ProductState([[1.0, 0.0]])))
         prop = PropagatorSet.build(1.0, 0.01)
         out = apply_one_body(walker, trial, prop)
         assert out.weight / walker.weight == pytest.approx(np.exp(0.005), rel=1e-13)
@@ -89,13 +89,13 @@ class TestApplyOneBody:
         trial = uniform_trial(4)
         walker = positive_walker(rng, 4, trial)
         out = apply_one_body(walker, trial, PropagatorSet.build(1.0, 0.05))
-        assert out.overlap == pytest.approx(trial.overlap(out.state), rel=1e-12)
+        assert out.overlap == pytest.approx(tt_product_overlap(trial, out.state), rel=1e-12)
 
     def test_negative_overlap_kills(self):
         # sigma^x mixing rotates the walker across the trial's nodal line
-        trial = TrialHandle.from_dense([0.1, -1.0])
+        trial = TensorTrain.from_dense([0.1, -1.0])
         state = ProductState([[1.0, 0.0]])
-        walker = Walker(state, 1.0, trial.overlap(state))
+        walker = Walker(state, 1.0, tt_product_overlap(trial, state))
         assert walker.overlap > 0
         out = apply_one_body(walker, trial, PropagatorSet.build(1.0, 0.5))
         assert out.weight == 0.0
@@ -108,7 +108,7 @@ class TestSampleBond:
         d, dtau = 4, 0.03
         trial = uniform_trial(d)
         state = ProductState(np.tile([1.0, 0.0], (d, 1)))
-        walker = Walker(state, 1.0, trial.overlap(state))
+        walker = Walker(state, 1.0, tt_product_overlap(trial, state))
         prop = PropagatorSet.build(1.0, dtau)
         out = sample_bond(walker, (0, 1), trial, prop, np.random.default_rng(0))
         assert out.weight / walker.weight == pytest.approx(np.exp(dtau), rel=1e-13)
@@ -129,7 +129,7 @@ class TestSampleBond:
         # w' <psi, b(x) phi> / O_tr(b(x) phi) = w N
         d = 5
         for _ in range(50):
-            trial = TrialHandle.from_product(random_positive_product(rng, d))
+            trial = random_positive_product(rng, d).as_tt()
             walker = positive_walker(rng, d, trial)
             prop = PropagatorSet.build(1.0, 0.05)
             bond = tuple(sorted(rng.choice(d, size=2, replace=False)))
@@ -138,7 +138,7 @@ class TestSampleBond:
                 for u in (1e-9, 1.0 - 1e-9)
             ]
             vals = [
-                o.weight * trial.overlap(o.state) / o.overlap for o in outs
+                o.weight * tt_product_overlap(trial, o.state) / o.overlap for o in outs
             ]
             assert vals[0] == pytest.approx(vals[1], rel=1e-12)
 
@@ -146,7 +146,7 @@ class TestSampleBond:
         # positive trial: N O_tr(phi) = (1/2) sum_x <psi, b(x) phi> exactly
         d = 4
         for _ in range(50):
-            trial = TrialHandle.from_product(random_positive_product(rng, d))
+            trial = random_positive_product(rng, d).as_tt()
             walker = positive_walker(rng, d, trial)
             prop = PropagatorSet.build(1.0, 0.04)
             p, q = sorted(rng.choice(d, size=2, replace=False))
@@ -158,7 +158,7 @@ class TestSampleBond:
                 mod = walker.state.sites.copy()
                 mod[p] = mod[p] * fac * prop.bond_prefactor
                 mod[q] = mod[q] * fac
-                total += 0.5 * trial.overlap(ProductState(mod))
+                total += 0.5 * tt_product_overlap(trial, ProductState(mod))
             assert n_const * walker.overlap == pytest.approx(total, rel=1e-13)
 
     def test_dtau_zero_identity(self, rng):
@@ -184,7 +184,7 @@ class TestStep:
     def test_zero_variance_with_exact_trial(self):
         lat = build_lattice("chain", (6,), "open")
         sol = exact_ground(lat, 1.0)
-        trial = TrialHandle.from_dense(sol.ground_state)
+        trial = TensorTrain.from_dense(sol.ground_state)
         ens = Ensemble.from_trial_product(uniform_trial(6), 40, seed=3)
         reanchor_overlaps(ens, trial)
         prop = PropagatorSet.build(1.0, 0.01)
@@ -201,7 +201,7 @@ class TestStep:
         ens = Ensemble(
             np.repeat(all_up[:, :, None], 10, axis=2),
             np.ones(10),
-            np.full(10, trial.overlap(ProductState(all_up))),
+            np.full(10, tt_product_overlap(trial, ProductState(all_up))),
             seed=5,
         )
         prop = PropagatorSet.build(0.0, 0.07)
@@ -272,10 +272,10 @@ class TestStep:
         # the trial's overlaps are finite (1e100) but its left partials
         # overflow, so the bond overlaps are NaN: the step names that
         # overlap instead of counting the walkers as killed
-        cores = [c.copy() for c in uniform_trial(3).tt.cores]
+        cores = [c.copy() for c in uniform_trial(3).cores]
         for c, s in zip(cores, (1e200, 1e200, 1e-300)):
             c *= s
-        trial = TrialHandle.from_tt(TensorTrain(cores))
+        trial = TensorTrain(cores)
         ens = Ensemble.from_trial_product(uniform_trial(3), 4, seed=1)
         reanchor_overlaps(ens, trial)
         assert np.all(np.isfinite(ens.ovlp))
@@ -291,9 +291,9 @@ class TestStep:
         # orient the generic signed trial toward the walker cloud so the
         # swap leaves survivors, then propagate under it
         probe = ProductState(ens.sites[:, :, 0])
-        if TrialHandle.from_tt(tt).overlap(probe) < 0:
+        if tt_product_overlap(tt, probe) < 0:
             tt = TensorTrain([-tt.cores[0]] + list(tt.cores[1:]))
-        trial = TrialHandle.from_tt(tt)
+        trial = tt
         reanchor_overlaps(ens, trial)
         prop = PropagatorSet.build(0.8, 0.05)
         for _ in range(10):
@@ -314,7 +314,7 @@ class TestFusedHalves:
         d = 6
         lat = build_lattice("chain", (d,), "periodic")
         tt = random_tt(np.random.default_rng(7), d, 2)
-        trial = TrialHandle.from_tt(TensorTrain([np.abs(c) + 0.1 for c in tt.cores]))
+        trial = TensorTrain([np.abs(c) + 0.1 for c in tt.cores])
         ens = Ensemble.from_trial_product(uniform_trial(d), 25, seed=13)
         reanchor_overlaps(ens, trial)
         prop = PropagatorSet.build(1.0, 0.05)
@@ -453,14 +453,14 @@ class TestPopulationControl:
         # the comb reorders the walkers under a cache whose partials were
         # all valid; its next overlaps must be those of the combed walkers
         d, n = 6, 16
-        trial = TrialHandle.from_tt(random_tt(rng, d, 3))
+        trial = random_tt(rng, d, 3)
         sites = rng.standard_normal((d, n, 2)).transpose(0, 2, 1)
         ens = Ensemble(sites, np.ones(n), np.ones(n), seed=1)
         cache = ens.attach(trial)
         cache.ensure_measure()
         ens.weight = np.exp(rng.standard_normal(n))
         population_control(ens, np.random.default_rng(4))
-        direct = [trial.overlap(ens.walker(k).state) for k in range(n)]
+        direct = [tt_product_overlap(trial, ens.walker(k).state) for k in range(n)]
         np.testing.assert_allclose(cache.overlaps(), direct, rtol=1e-12)
 
 
@@ -474,7 +474,7 @@ class TestReanchorOverlaps:
             step(ens, trial, lat, prop)
         sites_before = [s.copy() for s in ens.sites]
         w_before, o_before = ens.weight.copy(), ens.ovlp.copy()
-        same = TrialHandle.from_tt(trial.tt)  # equal values, fresh object
+        same = TensorTrain(trial.cores)  # equal values, fresh object
         reanchor_overlaps(ens, same)
         for m in range(5):
             np.testing.assert_array_equal(ens.sites[m], sites_before[m])
@@ -484,22 +484,38 @@ class TestReanchorOverlaps:
     def test_positive_swap_no_kills(self, rng):
         trial = uniform_trial(4)
         ens = Ensemble.from_trial_product(trial, 10, seed=6)
-        new = TrialHandle.from_product(random_positive_product(rng, 4))
+        new = random_positive_product(rng, 4).as_tt()
         reanchor_overlaps(ens, new)
         assert ens.reanchor_kill_counts[-1] == 0
         assert np.all(ens.weight > 0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_overlap_named(self):
+        # the cores overflow, so every fresh overlap is NaN: the re-anchor
+        # names it, with no NumPy warning, instead of storing it for the
+        # next step to blame on propagation
+        big = 1e200
+        trial = TensorTrain([
+            np.full((1, 2, 2), big),
+            big * np.array([[[1.0, -1.0], [1.0, 1.0]], [[1.0, 1.0], [-1.0, 1.0]]]),
+            np.full((2, 2, 1), big),
+        ])
+        ens = Ensemble.from_trial_product(uniform_trial(3), 4, seed=1)
+        with pytest.raises(WeightError, match="walker 0 has overlap nan at step 0; re-anchoring needs"):
+            reanchor_overlaps(ens, trial)
+        np.testing.assert_array_equal(ens.weight, np.ones(4))
+
     def test_negated_trial_kills_everything(self):
         trial = uniform_trial(4)
         ens = Ensemble.from_trial_product(trial, 10, seed=6)
-        negated = TrialHandle.from_tt(TensorTrain([-trial.tt.cores[0]] + list(trial.tt.cores[1:])))
+        negated = TensorTrain([-trial.cores[0]] + list(trial.cores[1:]))
         with pytest.raises(DeadEnsembleError):
             reanchor_overlaps(ens, negated)
 
 
 def _positive_trial(rng, d):
     tt = random_tt(rng, d, 2)
-    return TrialHandle.from_tt(TensorTrain([np.abs(c) + 0.1 for c in tt.cores]))
+    return TensorTrain([np.abs(c) + 0.1 for c in tt.cores])
 
 
 def _one_body_reference(ens, trial, B, alive):
@@ -518,7 +534,7 @@ def _one_body_reference(ens, trial, B, alive):
         scale *= norms
         sites.append(np.where(alive[:, None], new / norms[:, None], v).T)
     sites = np.stack(sites)
-    fresh = np.maximum(product_overlaps(trial.wr, sites), 0.0)
+    fresh = np.maximum(product_overlaps(trial, sites), 0.0)
     old = np.where(ens.ovlp > 0.0, ens.ovlp, 1.0)
     weight = np.where(alive, ens.weight * (fresh * scale / old), ens.weight)
     return sites, weight, np.where(alive, fresh, ens.ovlp)
@@ -559,7 +575,7 @@ class TestSiteLayout:
             assert ens.sites is sites and cache.sites is sites, name
             assert sites.flags.c_contiguous, name
             # the cache reads the written values: its overlaps are a fresh sweep's
-            fresh = product_overlaps(cache.handle.wr, sites.copy())
+            fresh = product_overlaps(ens._trial, sites.copy())
             assert np.array_equal(cache.overlaps(), fresh), name
 
     @pytest.mark.parametrize("full", [False, True])
@@ -589,15 +605,15 @@ class TestStreams:
         assert not np.array_equal(a, c)
 
 
-class TestTrialHandle:
+class TestTrialTT:
     def test_cached_overlaps_agree_with_direct(self, rng):
-        # handle queries through the incremental caches match direct
-        # contraction for both TT and dense trials
+        # overlaps through the incremental caches match direct contraction
+        # for both product and dense trials
         lat = build_lattice("chain", (6,), "periodic")
         prop = PropagatorSet.build(1.0, 0.03)
-        tt_trial = TrialHandle.from_product(random_positive_product(rng, 6))
+        tt_trial = random_positive_product(rng, 6).as_tt()
         sol = exact_ground(lat, 1.0)
-        dense_trial = TrialHandle.from_dense(sol.ground_state)
+        dense_trial = TensorTrain.from_dense(sol.ground_state)
         for trial in (tt_trial, dense_trial):
             ens = Ensemble.from_trial_product(uniform_trial(6), 15, seed=3)
             reanchor_overlaps(ens, trial)
@@ -605,17 +621,19 @@ class TestTrialHandle:
                 step(ens, trial, lat, prop)
             for k in range(ens.n_walkers):
                 w = ens.walker(k)
-                direct = trial.overlap(w.state)
+                direct = tt_product_overlap(trial, w.state)
                 assert w.overlap == pytest.approx(direct, rel=1e-12)
 
-    def test_as_product_sites_only_for_rank1(self, rng):
-        assert TrialHandle.from_product(random_positive_product(rng, 4)).as_product_sites() is not None
-        assert TrialHandle.from_tt(random_tt(rng, 4, 2)).as_product_sites() is None
-        assert TrialHandle.from_dense(np.ones(16)).as_product_sites() is None
+    def test_walkers_start_only_from_rank1(self, rng):
+        ens = Ensemble.from_trial_product(random_positive_product(rng, 4).as_tt(), 3, seed=0)
+        assert ens.n_walkers == 3 and np.all(ens.ovlp > 0.0)
+        for trial in (random_tt(rng, 4, 2), TensorTrain.from_dense(np.ones(16))):
+            with pytest.raises(ValueError, match="rank-1"):
+                Ensemble.from_trial_product(trial, 3, seed=0)
 
     def test_dense_trial_rejects_bad_length(self):
         with pytest.raises(ValueError):
-            TrialHandle.from_dense(np.ones(6))
+            TensorTrain.from_dense(np.ones(6))
 
 
 def _signed_ensemble(rng, d, n, dead=()):
@@ -653,7 +671,7 @@ class TestTTKernel:
         # nearest-neighbour, wrap and snake-order cylinder bonds (span up to 7)
         tt = random_tt(rng, lattice.d, rank)
         psi = tt_to_dense(tt)
-        trial = TrialHandle.from_tt(tt)
+        trial = tt
         factors = walker_engine._bond_factors(PropagatorSet.build(1.0, 0.05))
         ens = _signed_ensemble(rng, lattice.d, 5, dead=(1,))
         cache = ens.attach(trial)
@@ -667,7 +685,7 @@ class TestTTKernel:
 
     def test_apply_bond_stores_fresh_left_partial(self, rng):
         d = 8
-        trial = TrialHandle.from_tt(random_tt(rng, d, 3))
+        trial = random_tt(rng, d, 3)
         factors = walker_engine._bond_factors(PropagatorSet.build(1.0, 0.05))
         for p, q in [(2, 3), (1, 6), (0, 7)]:
             ens = _signed_ensemble(rng, d, 6, dead=(0, 4))
@@ -677,7 +695,7 @@ class TestTTKernel:
                 ens, cache, p, q, factors, rng.random(6), alive, False
             )
             assert cache.lv == p + 1
-            fresh = advance_left(cache.left[p], trial.wl[p], ens.sites[p])
+            fresh = advance_left(cache.left[p], cache.wl[p], ens.sites[p])
             np.testing.assert_allclose(cache.left[p + 1], fresh, rtol=1e-13, atol=1e-15)
             # the cached partials give the same overlaps as a fresh sweep
             stored = cache.overlaps()
@@ -692,7 +710,7 @@ class TestTTKernel:
         d = 16
         lat = build_lattice("chain", (d,), "periodic")
         tt = random_tt(rng, d, 2)
-        trial = TrialHandle.from_tt(TensorTrain([np.abs(c) for c in tt.cores]))
+        trial = TensorTrain([np.abs(c) for c in tt.cores])
         ens = Ensemble.from_trial_product(uniform_trial(d), 20, seed=2)
         reanchor_overlaps(ens, trial)
         prop = PropagatorSet.build(1.0, 0.01)
@@ -719,7 +737,7 @@ class TestTTKernel:
         # by bond (d-2, d-1))
         d = 16
         tt = random_tt(rng, d, 2)
-        trial = TrialHandle.from_tt(TensorTrain([np.abs(c) for c in tt.cores]))
+        trial = TensorTrain([np.abs(c) for c in tt.cores])
         prop = PropagatorSet.build(1.0, 0.01)
         rebuilt = []
         halves = [0]
@@ -772,7 +790,7 @@ class TestTTKernel:
         # ones, which an earlier bond has made stale
         d = lattice.d
         tt = random_tt(rng, d, 3)
-        trial = TrialHandle.from_tt(TensorTrain([np.abs(c) for c in tt.cores]))
+        trial = TensorTrain([np.abs(c) for c in tt.cores])
         prop = PropagatorSet.build(1.0, 0.05)
         ens = Ensemble.from_trial_product(uniform_trial(d), 12, seed=3)
         reanchor_overlaps(ens, trial)
@@ -783,8 +801,8 @@ class TestTTKernel:
             b = site_right_halves(cache, q)
             R = np.ones((1, ens.n_walkers))
             for m in range(d - 1, q, -1):
-                R = advance_right(R, trial.wr[m], ens.sites[m])
-            assert np.array_equal(b, right_halves(R, trial.wr[q], ens.sites[q])), q
+                R = advance_right(R, right_transfer(trial.cores[m]), ens.sites[m])
+            assert np.array_equal(b, right_halves(R, right_transfer(trial.cores[q]), ens.sites[q])), q
             seen.append(q)
             return b
 
