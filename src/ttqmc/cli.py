@@ -4,7 +4,7 @@ Subcommands: ``run``, ``trotter-sweep``, ``popsize-sweep``, ``gsweep``.
 A JSON config file (flat keys mirroring RunConfig) supplies parameters;
 command-line flags override file values.  All output files are written
 atomically (temp + rename).  Exit codes: 0 ok, 2 config error, 3 runtime
-fatal.
+fatal (out of memory included).
 """
 
 from __future__ import annotations
@@ -247,6 +247,10 @@ def main(argv=None):
         # each error's message carries its own context (DeadEnsembleError
         # appends the diagnostics filled in after it was raised)
         print(f"runtime error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        # a config can pass every bound and still need more memory than the host has
+        print(f"runtime error: out of memory: {exc}", file=sys.stderr)
         return 3
 
 

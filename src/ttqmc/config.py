@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigError, LatticeError
+from .errors import ConfigError
 from .sketching import validate_target_ranks
 from .spin_model import PropagatorSet, build_lattice
 
@@ -137,10 +137,7 @@ class RunConfig:
             )
 
     def lattice(self):
-        try:
-            return build_lattice(self.lattice_kind, self.lattice_dims, self.lattice_boundary)
-        except LatticeError as exc:
-            raise ConfigError(f"lattice_{exc.part}", str(exc)) from exc
+        return build_lattice(self.lattice_kind, self.lattice_dims, self.lattice_boundary)
 
     def resolved_sketch_stop(self):
         if self.sketch_stop_step is not None:

@@ -18,14 +18,6 @@ class DenseCapError(TtqmcError):
         self.cap = cap
 
 
-class RankZeroError(TtqmcError):
-    """A sketch cross matrix was numerically rank zero at some cut."""
-
-    def __init__(self, cut):
-        super().__init__(f"sketch cross matrix numerically rank zero at cut {cut}")
-        self.cut = cut
-
-
 class ZeroOverlapError(TtqmcError):
     """A local-energy denominator <psi_tr, phi> vanished."""
 
@@ -99,14 +91,6 @@ class AnalyticCheckError(TtqmcError):
         )
 
 
-class LatticeError(TtqmcError, ValueError):
-    """An unsupported lattice request; ``part`` is "kind", "dims" or "boundary"."""
-
-    def __init__(self, part, message):
-        super().__init__(message)
-        self.part = part
-
-
 class ConfigError(TtqmcError):
     """A run configuration value is missing, malformed, or inconsistent."""
 
@@ -136,7 +120,8 @@ class PendingHalfStepError(TtqmcError):
 
 
 class SketchFitError(TtqmcError, ValueError):
-    """The ensemble-to-TT fit met a bad walker, a non-finite input or a failed SVD.
+    """The ensemble-to-TT fit met a bad walker, a non-finite input, a failed SVD
+    or a rank-zero cross matrix (``RankZeroError``).
 
     ``cut`` names the cross matrix's cut, or is None for a bad walker.
     """
@@ -144,3 +129,10 @@ class SketchFitError(TtqmcError, ValueError):
     def __init__(self, message, cut=None):
         super().__init__(message)
         self.cut = cut
+
+
+class RankZeroError(SketchFitError):
+    """A sketch cross matrix was numerically rank zero at some cut."""
+
+    def __init__(self, cut):
+        super().__init__(f"sketch cross matrix numerically rank zero at cut {cut}", cut)

@@ -11,8 +11,8 @@ exactly, bond by bond, through the discrete Hubbard-Stratonovich identity
     exp(dtau z_i z_j) = exp(-dtau) * (1/2) sum_{x=+-1} exp(x lam (z_i + z_j)),
     cosh(2 lam) = exp(2 dtau).
 
-Site indices used by propagators and dense matrices are *chain positions*
-(the lattice's tt_order already applied); dense basis vectors put chain
+Every site index is a *chain position*: a lattice is its bond list over the
+one chain the trial's tensor train runs along.  Dense basis vectors put chain
 position 0 in the most significant bit, with i=0 meaning sigma^z = +1.
 """
 
@@ -22,56 +22,35 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AnalyticCheckError, DenseCapError, EigensolverError, LatticeError
+from .errors import AnalyticCheckError, ConfigError, DenseCapError, EigensolverError
 
 DENSE_H_CAP = 14
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 
 @dataclass(frozen=True)
 class Lattice:
-    """Site count, geometry, and the ordered bond list <i,j>.
+    """Site count, geometry, and the bonds <p,q> as pairs of chain positions.
 
-    ``bonds`` holds unordered pairs of distinct lattice sites in
-    lexicographic order.  ``tt_order[site]`` is the chain position of each
-    lattice site; ``chain_bonds`` is the bond list mapped to chain positions
-    with each pair (p, q) sorted, in processing order: by right end q, and
-    for equal q the shorter bond first (key (q, -p)).  That order lets the
-    walker engine's left environment advance bond by bond, and puts a
-    periodic wrap bond (0, d-1) last, so it invalidates no right partial
-    that a later bond needs.
+    The trial's tensor train runs over one fixed chain of d sites.  A grid or
+    cylinder (n0, n1) is snaked into it column by column: site (a, b) sits at
+    chain position b*n0 + a on an even column b and b*n0 + n0-1-a on an odd
+    one.  Each pair in ``chain_bonds`` has p < q, and the list is in
+    processing order: by right end q, and for equal q the shorter bond first
+    (key (q, -p)).  That order lets the walker engine's left environment
+    advance bond by bond, and puts a periodic wrap bond (0, d-1) last, so it
+    invalidates no right partial that a later bond needs.
     """
 
     d: int
     kind: str
-    dims: tuple
     boundary: str
-    bonds: tuple
-    tt_order: tuple
-
-    @property
-    def chain_bonds(self):
-        order = self.tt_order
-        pairs = (tuple(sorted((order[i], order[j]))) for i, j in self.bonds)
-        return tuple(sorted(pairs, key=lambda b: (b[1], -b[0])))
-
-
-def _snake_order(n0, n1):
-    """Chain position of grid site (a, b); axis 0 is the fast (snaked) axis."""
-    order = {}
-    pos = 0
-    for b in range(n1):
-        rng = range(n0) if b % 2 == 0 else range(n0 - 1, -1, -1)
-        for a in rng:
-            order[(a, b)] = pos
-            pos += 1
-    return order
+    chain_bonds: tuple
 
 
 def build_lattice(kind, dims, boundary):
-    """Construct a Lattice with a deterministic bond list.
+    """Construct a Lattice; an unsupported request raises ConfigError naming its field.
 
     Supported combinations:
       * chain, dims (d,), boundary 'open' or 'periodic' (d=2 periodic rejected);
@@ -79,59 +58,52 @@ def build_lattice(kind, dims, boundary):
       * cylinder, dims (n0, n1), boundary 'periodic' meaning periodic on the
         n0 axis and open on the n1 axis.
     """
-    dims = tuple(int(x) for x in (dims if np.iterable(dims) else (dims,)))
+    dims = tuple(dims)
     if any(x < 1 for x in dims):
-        raise LatticeError("dims", f"dims must be positive, got {dims}")
+        raise ConfigError("lattice_dims", f"dims must be positive, got {dims}")
 
     if kind == "chain":
         if len(dims) != 1:
-            raise LatticeError("dims", f"chain expects one dim, got {dims}")
+            raise ConfigError("lattice_dims", f"chain expects one dim, got {dims}")
         d = dims[0]
         if boundary not in ("open", "periodic"):
-            raise LatticeError("boundary", f"unsupported chain boundary {boundary!r}")
-        bonds = [(i, i + 1) for i in range(d - 1)]
+            raise ConfigError("lattice_boundary", f"unsupported chain boundary {boundary!r}")
+        bonds = [(p, p + 1) for p in range(d - 1)]
         if boundary == "periodic":
             if d < 3:
-                raise LatticeError(
-                    "dims", "periodic chain needs d >= 3 (d=2 would double the bond)"
+                raise ConfigError(
+                    "lattice_dims", "periodic chain needs d >= 3 (d=2 would double the bond)"
                 )
             bonds.append((0, d - 1))
-        order = tuple(range(d))
 
     elif kind in ("grid", "cylinder"):
         if len(dims) != 2:
-            raise LatticeError("dims", f"{kind} expects two dims, got {dims}")
+            raise ConfigError("lattice_dims", f"{kind} expects two dims, got {dims}")
         n0, n1 = dims
         if kind == "grid" and boundary != "open":
-            raise LatticeError("boundary", f"unsupported grid boundary {boundary!r}")
+            raise ConfigError("lattice_boundary", f"unsupported grid boundary {boundary!r}")
         if kind == "cylinder":
             if boundary != "periodic":
-                raise LatticeError("boundary", f"unsupported cylinder boundary {boundary!r}")
+                raise ConfigError("lattice_boundary", f"unsupported cylinder boundary {boundary!r}")
             if n0 < 3:
-                raise LatticeError("dims", "cylinder ring axis needs at least 3 sites")
+                raise ConfigError("lattice_dims", "cylinder ring axis needs at least 3 sites")
         d = n0 * n1
-        site = lambda a, b: a * n1 + b  # noqa: E731 - lattice site label
+        pos = lambda a, b: b * n0 + (a if b % 2 == 0 else n0 - 1 - a)  # noqa: E731 - snake order
         bonds = []
         for a in range(n0):
             for b in range(n1):
                 if b + 1 < n1:
-                    bonds.append((site(a, b), site(a, b + 1)))
+                    bonds.append((pos(a, b), pos(a, b + 1)))
                 if a + 1 < n0:
-                    bonds.append((site(a, b), site(a + 1, b)))
-                elif kind == "cylinder" and n0 > 2:
-                    bonds.append((site(0, b), site(a, b)))
-        snake = _snake_order(n0, n1)
-        order = [0] * d
-        for a in range(n0):
-            for b in range(n1):
-                order[site(a, b)] = snake[(a, b)]
-        order = tuple(order)
+                    bonds.append((pos(a, b), pos(a + 1, b)))
+                elif kind == "cylinder":
+                    bonds.append((pos(0, b), pos(a, b)))
 
     else:
-        raise LatticeError("kind", f"unsupported lattice kind {kind!r}")
+        raise ConfigError("lattice_kind", f"unsupported lattice kind {kind!r}")
 
-    bonds = tuple(sorted(tuple(sorted(b)) for b in set(map(tuple, map(sorted, bonds)))))
-    return Lattice(d=d, kind=kind, dims=dims, boundary=boundary, bonds=bonds, tt_order=order)
+    pairs = (tuple(sorted(b)) for b in bonds)
+    return Lattice(d, kind, boundary, tuple(sorted(pairs, key=lambda b: (b[1], -b[0]))))
 
 
 def one_body_matrix(g, dtau):

@@ -134,10 +134,7 @@ class ProductState:
 
     def to_dense(self):
         """Kronecker expansion, site 0 most significant."""
-        v = self.sites[0]
-        for m in range(1, self.d):
-            v = np.kron(v, self.sites[m])
-        return v
+        return tt_to_dense(self.as_tt())
 
 
 def left_transfer(core):

@@ -259,6 +259,19 @@ class TestCmdRun:
         assert cli.main(["run", "--config", cfg_path, "--out-dir", str(tmp_path / "out")]) == 3
         assert "cross matrix at cut 1 failed: SVD did not converge" in capsys.readouterr().err
 
+    def test_out_of_memory_exit_3_without_traceback(self, tmp_path, capsys, monkeypatch):
+        # what NumPy raises for {"n_walkers": 100000000000}, without allocating it
+        def huge(config):
+            raise MemoryError("Unable to allocate 745. GiB for an array with shape (100000000000,)")
+
+        monkeypatch.setattr(cli, "run", huge)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", write_config(tmp_path), "--out-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "runtime error: out of memory: Unable to allocate 745. GiB" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_weights_exit_3_names_walker(self, tmp_path, capsys):
         # at g = 20, dtau = 0.1 every step multiplies the weights by about

@@ -253,6 +253,7 @@ class TestSketchEnsemble:
         pair = make_sketch_pair(d, 6, 0.0, seed=4)
         with pytest.raises(RankZeroError) as err:
             sketch_ensemble([walker], pair, [2, 2, 2, 2])
+        assert isinstance(err.value, SketchFitError)
         assert err.value.cut is not None
 
     def test_dimension_mismatch(self, rng):

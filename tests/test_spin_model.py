@@ -1,10 +1,12 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 from scipy.sparse.linalg import eigsh
 
 from ttqmc import spin_model
-from ttqmc.errors import DenseCapError, EigensolverError
+from ttqmc.errors import ConfigError, DenseCapError, EigensolverError
 from ttqmc.spin_model import (
     SIGMA_X,
     PropagatorSet,
@@ -19,20 +21,49 @@ from ttqmc.spin_model import (
 from conftest import csr_hamiltonian
 
 
+def _lattice_pairs(kind, n0, n1):
+    """Nearest-neighbour and ring-wrap pairs of grid sites (a, b), built independently."""
+    pairs = set()
+    for a in range(n0):
+        for b in range(n1):
+            if a + 1 < n0:
+                pairs.add(frozenset({(a, b), (a + 1, b)}))
+            if b + 1 < n1:
+                pairs.add(frozenset({(a, b), (a, b + 1)}))
+    if kind == "cylinder":
+        pairs |= {frozenset({(0, b), (n0 - 1, b)}) for b in range(n1)}
+    return pairs
+
+
+def _unsnake(p, n0):
+    """Grid site (a, b) at chain position p: column b = p // n0, reversed on odd b."""
+    b, k = divmod(p, n0)
+    return (k if b % 2 == 0 else n0 - 1 - k, b)
+
+
 class TestBuildLattice:
     def test_periodic_chain_bonds(self):
         lat = build_lattice("chain", (4,), "periodic")
-        assert set(lat.bonds) == {(0, 1), (1, 2), (2, 3), (0, 3)}
-        assert lat.tt_order == (0, 1, 2, 3)
+        assert [f.name for f in fields(lat)] == ["d", "kind", "boundary", "chain_bonds"]
+        assert lat.chain_bonds == ((0, 1), (1, 2), (2, 3), (0, 3))
+
+    def test_cylinder_4x4_bonds_pinned(self):
+        lat = build_lattice("cylinder", (4, 4), "periodic")
+        assert lat.chain_bonds == (
+            (0, 1), (1, 2), (2, 3), (0, 3), (3, 4), (4, 5), (2, 5), (5, 6), (1, 6),
+            (6, 7), (4, 7), (0, 7), (7, 8), (8, 9), (6, 9), (9, 10), (5, 10), (10, 11),
+            (8, 11), (4, 11), (11, 12), (12, 13), (10, 13), (13, 14), (9, 14), (14, 15),
+            (12, 15), (8, 15),
+        )
 
     def test_open_grid_2x2(self):
         lat = build_lattice("grid", (2, 2), "open")
-        assert len(lat.bonds) == 4
+        assert lat.chain_bonds == ((0, 1), (1, 2), (2, 3), (0, 3))
 
     def test_cylinder_4x16_bond_count(self):
         # 16 rings of 4 bonds plus 4 rows of 15 bonds
         lat = build_lattice("cylinder", (4, 16), "periodic")
-        assert len(lat.bonds) == 64 + 60
+        assert len(lat.chain_bonds) == 64 + 60
 
     def test_cylinder_ring_bonds_short_in_chain_order(self):
         lat = build_lattice("cylinder", (4, 6), "periodic")
@@ -40,26 +71,43 @@ class TestBuildLattice:
         assert max(spans) <= 2 * 4 - 1
 
     def test_d2_periodic_rejected(self):
-        with pytest.raises(ValueError, match="periodic"):
+        with pytest.raises(ConfigError, match="periodic") as err:
             build_lattice("chain", (2,), "periodic")
+        assert err.value.field == "lattice_dims"
 
     def test_unsupported_combinations(self):
-        with pytest.raises(ValueError):
-            build_lattice("grid", (3, 3), "periodic")
-        with pytest.raises(ValueError):
-            build_lattice("cylinder", (4, 4), "open")
-        with pytest.raises(ValueError):
-            build_lattice("triangular", (4,), "open")
+        for kind, dims, boundary, field in [
+            ("grid", (3, 3), "periodic", "lattice_boundary"),
+            ("cylinder", (4, 4), "open", "lattice_boundary"),
+            ("chain", (4,), "twisted", "lattice_boundary"),
+            ("triangular", (4,), "open", "lattice_kind"),
+            ("cylinder", (2, 4), "periodic", "lattice_dims"),
+            ("chain", (4, 4), "open", "lattice_dims"),
+            ("grid", (4,), "open", "lattice_dims"),
+            ("chain", (0,), "open", "lattice_dims"),
+        ]:
+            with pytest.raises(ConfigError) as err:
+                build_lattice(kind, dims, boundary)
+            assert err.value.field == field, (kind, dims, boundary)
 
     def test_bonds_unique_sorted_pairs(self):
-        lat = build_lattice("grid", (3, 4), "open")
-        assert len(set(lat.bonds)) == len(lat.bonds)
-        assert all(i < j for i, j in lat.bonds)
-        assert sorted(lat.bonds) == list(lat.bonds)
+        for args in [("chain", (9,), "open"), ("chain", (9,), "periodic"), ("grid", (3, 4), "open"),
+                     ("cylinder", (5, 4), "periodic"), ("cylinder", (4, 16), "periodic")]:
+            bonds = build_lattice(*args).chain_bonds
+            assert len(set(bonds)) == len(bonds)
+            assert all(p < q for p, q in bonds)
+            keys = [(q, -p) for p, q in bonds]
+            assert keys == sorted(keys), args
 
-    def test_tt_order_is_bijection(self):
-        lat = build_lattice("cylinder", (4, 16), "periodic")
-        assert sorted(lat.tt_order) == list(range(64))
+    def test_snake_maps_back_to_nearest_neighbours(self):
+        for kind, boundary, low in (("grid", "open", 1), ("cylinder", "periodic", 3)):
+            for n0 in range(low, 7):
+                for n1 in range(1, 7):
+                    lat = build_lattice(kind, (n0, n1), boundary)
+                    assert lat.d == n0 * n1
+                    back = [frozenset({_unsnake(p, n0), _unsnake(q, n0)}) for p, q in lat.chain_bonds]
+                    assert len(set(back)) == len(back)
+                    assert set(back) == _lattice_pairs(kind, n0, n1), (kind, n0, n1)
 
 
 class TestOneBodyMatrix:
