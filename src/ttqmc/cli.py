@@ -62,8 +62,9 @@ def _csv_text(header, rows):
     return "\n".join(lines) + "\n"
 
 
-def _reference(config, lattice):
+def _reference(config):
     """(reference energy, dense ground state or None) for error reporting."""
+    lattice = config.lattice
     energy, vec = None, None
     if lattice.d <= ORACLE_CAP:
         sol = exact_ground(lattice, config.g)
@@ -101,16 +102,17 @@ def _strict_json(payload):
 
 
 def cmd_run(config):
-    lattice = config.lattice()
     trace, trial, _ = run(config)
-    reference_energy, ground_state = _reference(config, lattice)
+    reference_energy, ground_state = _reference(config)
     fid = None
     if ground_state is not None:
         fid = fidelity(trial, ground_state)
     summary = _summary_payload(config, trace, reference_energy, fid, _BLAS_THREADS)
     summary_text = _strict_json(summary)
 
-    _atomic_write_text(os.path.join(config.out_dir, "trace.csv"), trace.to_csv())
+    columns = (trace.steps, trace.energy, trace.total_weight, trace.alive)
+    trace_csv = _csv_text("step,energy,total_weight,alive", zip(*(c.tolist() for c in columns)))
+    _atomic_write_text(os.path.join(config.out_dir, "trace.csv"), trace_csv)
     _atomic_write_text(os.path.join(config.out_dir, "summary.json"), summary_text)
     _atomic_write_tt(os.path.join(config.out_dir, "trial.tt"), trial)
 
@@ -129,12 +131,14 @@ def cmd_run(config):
 def _bias_rows(field, configs, args):
     """(value, energy, stderr, reference, energy - reference) per config.
 
-    The Trotter bias grows as O(dtau^2); the population-control bias shrinks like 1/N.
+    The Trotter bias grows as O(dtau^2); the population-control bias shrinks
+    like 1/N.  The swept field is dtau or n_walkers, and the reference
+    depends only on the lattice and g, so it is computed once.
     """
+    reference_energy, _ = _reference(configs[0])
     rows = []
     for cfg in configs:
         trace, _, _ = run(cfg)
-        reference_energy, _ = _reference(cfg, cfg.lattice())
         err = None if None in (reference_energy, trace.mean) else trace.mean - reference_energy
         v = getattr(cfg, field)
         rows.append((v, trace.mean, trace.stderr, reference_energy, err))
@@ -244,8 +248,7 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except TtqmcError as exc:
-        # each error's message carries its own context (DeadEnsembleError
-        # appends the diagnostics filled in after it was raised)
+        # each error's message carries its own context
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:

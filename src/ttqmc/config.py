@@ -9,6 +9,7 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,7 +64,9 @@ class RunConfig:
     ``sketch_stop_step`` and ``equilibration_steps`` left at None resolve to
     min(2000, total_steps) and the sketch stop respectively, so short runs
     stay self-consistent.  ``reanchor=False`` is the vanilla mode (fixed
-    disordered trial throughout).
+    disordered trial throughout).  ``lattice`` and ``propagators`` are built
+    once, when the config is checked, and are not fields: a ``replace`` builds
+    its own.
     """
 
     lattice_kind: str = "chain"
@@ -108,7 +111,7 @@ class RunConfig:
         if not out or "\0" in out or (os.path.lexists(out) and not os.path.isdir(out)):
             raise ConfigError("out_dir", f"must name a directory to create or reuse, got {out!r}")
         self._validate_propagators()
-        d = self.lattice().d
+        d = self.lattice.d
         if self.reanchor:
             if d < 2:
                 raise ConfigError("lattice_dims", f"re-anchoring needs d >= 2 sites, got d={d}")
@@ -124,7 +127,7 @@ class RunConfig:
     def _validate_propagators(self):
         """Reject a (g, dtau) whose bond or one-body propagator overflows."""
         with np.errstate(over="ignore", invalid="ignore"):
-            prop = PropagatorSet.build(self.g, self.dtau)
+            prop = self.propagators
             bond = [prop.bond_prefactor, prop.lam]
             bond += [f for x in (1, -1) for f in prop.bond_site_factors(x)]
         if not np.all(np.isfinite(bond)):
@@ -136,8 +139,13 @@ class RunConfig:
                 f"at g={self.g}, dtau={self.dtau}",
             )
 
+    @cached_property
     def lattice(self):
         return build_lattice(self.lattice_kind, self.lattice_dims, self.lattice_boundary)
+
+    @cached_property
+    def propagators(self):
+        return PropagatorSet.build(self.g, self.dtau)
 
     def resolved_sketch_stop(self):
         if self.sketch_stop_step is not None:

@@ -25,17 +25,13 @@ class ZeroOverlapError(TtqmcError):
 class DeadEnsembleError(TtqmcError):
     """Every walker has been killed; the run cannot continue.
 
-    ``diagnostics`` (the step, and the kills of a re-anchor) may be filled in
-    after construction, so ``str`` appends them to the message when it is read.
+    ``diagnostics`` holds the step (and the kills of a re-anchor); the
+    message ends with them.
     """
 
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
-
-    def __str__(self):
-        msg = super().__str__()
-        return f"{msg} (context: {self.diagnostics})" if self.diagnostics else msg
+    def __init__(self, message, diagnostics):
+        super().__init__(f"{message} (context: {diagnostics})")
+        self.diagnostics = diagnostics
 
 
 class WeightError(TtqmcError):

@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import DeadEnsembleError, NonFiniteResultError, ZeroOverlapError
 from .sketching import make_sketch_pair, sketch_ensemble
-from .spin_model import PropagatorSet
 from .tensor_train import TensorTrain, tt_to_dense
 from .walker_engine import (
     _PURPOSE_POP,
@@ -56,26 +55,8 @@ class EnergyTrace:
         if np.any(np.diff(self.steps) <= 0):
             raise ValueError("trace steps must be strictly increasing")
 
-    @property
-    def entries(self):
-        return list(
-            zip(
-                self.steps.tolist(),
-                self.energy.tolist(),
-                self.total_weight.tolist(),
-                self.alive.tolist(),
-            )
-        )
-
     def post_equilibration_energies(self):
         return self.energy[self.steps >= self.equilibration_steps]
-
-    def to_csv(self):
-        """The trace as CSV text: step,energy,total_weight,alive."""
-        lines = ["step,energy,total_weight,alive"]
-        for s, e, w, a in self.entries:
-            lines.append(f"{int(s)},{e!r},{w!r},{int(a)}")
-        return "\n".join(lines) + "\n"
 
 
 def _batch_local_energies(ensemble, trial, lattice, g):
@@ -105,7 +86,7 @@ def mixed_energy(ensemble, trial, lattice, g):
     ensemble.require_settled("mixed_energy")
     total = checked_weight_sum(ensemble, "the mixed estimator")
     if total <= 0.0:
-        raise DeadEnsembleError("mixed energy with zero total weight")
+        raise DeadEnsembleError("mixed energy with zero total weight", {"step": ensemble.step})
     eloc = _batch_local_energies(ensemble, trial, lattice, g)
     energy = float(np.dot(ensemble.weight / total, eloc))
     if not np.isfinite(energy):
@@ -161,8 +142,8 @@ def run(config):
     The walkers start as copies of the disordered state ``default_trial(d)``,
     which is also the first trial.  Deterministic for a fixed config and seed.
     """
-    lattice = config.lattice()
-    prop = PropagatorSet.build(config.g, config.dtau)
+    lattice = config.lattice
+    prop = config.propagators
     sketch_stop = config.resolved_sketch_stop()
     d = lattice.d
 
@@ -183,36 +164,32 @@ def run(config):
         records.append((n, e, float(ensemble.weight.sum()), int(ensemble.alive.sum())))
         timers["measure"] += time.perf_counter() - t0
 
-    try:
-        measure(0)
-        for n in range(1, config.total_steps + 1):
-            measuring = n % config.measure_every == 0
-            combing = n % config.popcontrol_every == 0
-            sketching = (
-                config.reanchor
-                and n % config.sketch_every == 0
-                and n <= sketch_stop
-            )
-            settle = measuring or combing or sketching or n == config.total_steps
+    measure(0)
+    for n in range(1, config.total_steps + 1):
+        measuring = n % config.measure_every == 0
+        combing = n % config.popcontrol_every == 0
+        sketching = (
+            config.reanchor
+            and n % config.sketch_every == 0
+            and n <= sketch_stop
+        )
+        settle = measuring or combing or sketching or n == config.total_steps
+        t0 = time.perf_counter()
+        step(ensemble, trial, lattice, prop, settle=settle)
+        timers["propagate"] += time.perf_counter() - t0
+        if measuring:
+            measure(n)
+        if combing:
             t0 = time.perf_counter()
-            step(ensemble, trial, lattice, prop, settle=settle)
-            timers["propagate"] += time.perf_counter() - t0
-            if measuring:
-                measure(n)
-            if combing:
-                t0 = time.perf_counter()
-                population_control(ensemble, stream(config.seed, _PURPOSE_POP, n))
-                timers["popcontrol"] += time.perf_counter() - t0
-            if sketching:
-                t0 = time.perf_counter()
-                # the outgoing trial's overlap cache is dead weight during the fit
-                ensemble.detach()
-                trial = sketch_ensemble(ensemble, pair, target_ranks)
-                reanchor_overlaps(ensemble, trial)
-                timers["sketch"] += time.perf_counter() - t0
-    except DeadEnsembleError as exc:
-        exc.diagnostics.setdefault("step", ensemble.step)
-        raise
+            population_control(ensemble, stream(config.seed, _PURPOSE_POP, n))
+            timers["popcontrol"] += time.perf_counter() - t0
+        if sketching:
+            t0 = time.perf_counter()
+            # the outgoing trial's overlap cache is dead weight during the fit
+            ensemble.detach()
+            trial = sketch_ensemble(ensemble, pair, target_ranks)
+            reanchor_overlaps(ensemble, trial)
+            timers["sketch"] += time.perf_counter() - t0
 
     steps = np.array([r[0] for r in records], dtype=np.int64)
     energy = np.array([r[1] for r in records])

@@ -59,7 +59,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, RankZeroError, SketchFitError
 from .tensor_train import TensorTrain, right_transfer
-from .walker_engine import Ensemble
+from .walker_engine import Ensemble, stream
 
 # Relative singular-value cutoff for the per-core least-squares solves.
 LS_CUTOFF = 1e-12
@@ -108,9 +108,7 @@ def make_sketch_pair(d, sketch_rank, delta, seed):
         raise ValueError(f"sketch_rank must be >= 1, got {sketch_rank}")
     if delta < 0:
         raise ValueError(f"delta must be >= 0, got {delta}")
-    rng = np.random.Generator(
-        np.random.Philox(key=[int(seed) & (2 ** 64 - 1), _PURPOSE_SKETCH])
-    )
+    rng = stream(seed, _PURPOSE_SKETCH)
     left = _cluster_cores(rng, d, sketch_rank, delta)
     right = _cluster_cores(rng, d, sketch_rank, delta)
     return SketchPair(
@@ -180,11 +178,6 @@ def _site_step(P, W, v, out, scratch):
     halves = scratch[: 2 * n * w].reshape(n, 2 * w)
     np.matmul(P, W, out=halves)
     return np.einsum("kib,ki->kb", halves.reshape(n, 2, w), v, out=out)
-
-
-def _advance_left(L, core, v, out, scratch):
-    """Left partial (n_walkers, r) through one more site, into ``out`` (n_walkers, r')."""
-    return _site_step(L, core.reshape(core.shape[0], -1), v, out, scratch)
 
 
 def _right_partials(tt, sites, scratch):
@@ -268,7 +261,8 @@ def sketch_ensemble(walkers, pair, target_ranks):
     L = A = coeff.reshape(-1, 1)
     cores = []
     for c in range(1, d, 2):
-        L = _advance_left(L, pair.left.cores[c - 1], sites[c - 1], left, scratch)
+        S = pair.left.cores[c - 1]
+        L = _site_step(L, S.reshape(len(S), -1), sites[c - 1], left, scratch)
         # Y_c = sum_k L_c v_c R_{c+1}; contracting right-sketch core c gives X_c
         Y = _core(L, sites[c], R[c + 1])
         T = pair.right.cores[c]
@@ -285,7 +279,7 @@ def sketch_ensemble(walkers, pair, target_ranks):
             X = S.reshape(-1, S.shape[2]).T @ Y.reshape(-1, Y.shape[2])
             M, V = _cross_svd(X, c + 1, ranks[c + 1])
             G = G @ V.T
-            L = _advance_left(L, S, sites[c], left, scratch)
+            L = _site_step(L, S.reshape(len(S), -1), sites[c], left, scratch)
             A = L @ M
         cores.append(G)
     if d % 2:

@@ -26,8 +26,6 @@ from .errors import AnalyticCheckError, ConfigError, DenseCapError, EigensolverE
 
 DENSE_H_CAP = 14
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-
 
 @dataclass(frozen=True)
 class Lattice:

@@ -18,7 +18,8 @@ walker-last kernel.  The batch is one (d, 2, n) array whose row block
 ``v = sites[m]`` (2, n) holds every state's site-m vector; a partial
 contraction is an (r, n) array, and a site step splits over the physical
 index into the two halves ``(C_i^T @ L) * v[i]`` (left) or
-``(C_i @ R) * v[i]`` (right), one GEMM with the stacked transfer matrix.
+``(C_i @ R) * v[i]`` (right), one GEMM with the stacked transfer matrix,
+which alone decides the direction (``site_halves``, ``advance``).
 Their sum is the partial through that site; bond and local-energy overlaps
 combine the halves separately.
 """
@@ -147,32 +148,22 @@ def right_transfer(core):
     return np.ascontiguousarray(np.transpose(core, (1, 0, 2)).reshape(-1, core.shape[2]))
 
 
-def left_halves(L, wl, v):
-    """Both physical halves of one left site step, walker-last.
+def site_halves(P, W, v):
+    """Both physical halves of one site step, walker-last.
 
-    ``L`` (r, n) contracts the sites left of site m for n product states,
-    ``wl`` is ``left_transfer`` of core m and ``v`` the (2, n) site-m
-    vectors.  Returns (2, r', n) with ``[i] = (C_i^T @ L) * v[i]``.
+    ``P`` (r, n) contracts the sites on one side of site m for n product
+    states, ``W`` is ``left_transfer`` (stepping right) or ``right_transfer``
+    (stepping left) of core m, and ``v`` the (2, n) site-m vectors.  Returns
+    (2, r', n) with ``[i] = (C_i^T @ P) * v[i]`` or ``(C_i @ P) * v[i]``.
     """
-    h = (wl @ L).reshape(2, -1, L.shape[-1])
+    h = (W @ P).reshape(2, -1, P.shape[-1])
     h *= v[:, None, :]
     return h
 
 
-def right_halves(R, wr, v):
-    """Right-side counterpart of ``left_halves``: ``[i] = (C_i @ R) * v[i]``."""
-    return left_halves(R, wr, v)
-
-
-def advance_left(L, wl, v):
-    """Left partial through one more site: the sum of its two halves."""
-    h = left_halves(L, wl, v)
-    return h[0] + h[1]
-
-
-def advance_right(R, wr, v):
-    """Right partial through one more site: the sum of its two halves."""
-    h = right_halves(R, wr, v)
+def advance(P, W, v):
+    """The partial through one more site: the sum of its two halves."""
+    h = site_halves(P, W, v)
     return h[0] + h[1]
 
 
@@ -187,7 +178,7 @@ def product_overlaps(tt, sites):
         raise DimensionMismatchError(f"tt has d={tt.d}, product states have d={len(sites)}")
     R = np.ones((1, sites.shape[-1]))
     for core, v in zip(reversed(tt.cores), reversed(sites)):
-        R = advance_right(R, right_transfer(core), v)
+        R = advance(R, right_transfer(core), v)
     return R[0]
 
 

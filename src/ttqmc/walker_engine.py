@@ -76,11 +76,10 @@ from .errors import (
 )
 from .tensor_train import (
     ProductState,
-    advance_left,
-    left_halves,
+    advance,
     left_transfer,
-    right_halves,
     right_transfer,
+    site_halves,
 )
 
 _PURPOSE_BOND = 1
@@ -107,7 +106,7 @@ class _TTCache:
 
     ``left[m]`` (r_m, n) contracts sites < m and is valid for m <= lv.  The
     right side is held as halves, not partials: ``rhalf[j]`` (2, r_j, n) is
-    ``right_halves(R_{j+1}, wr[j], sites[j])``, valid for j >= rv, where
+    ``site_halves(R_{j+1}, wr[j], sites[j])``, valid for j >= rv, where
     R_{j+1} = rhalf[j+1][0] + rhalf[j+1][1] contracts sites > j (ones at
     j + 1 = d).  ``right(m)`` forms that sum only where a full partial is
     read: the sweep's next site, ``overlaps``, ``sigma_x_overlaps`` and a
@@ -140,13 +139,13 @@ class _TTCache:
     def ensure_left(self, m):
         while self.lv < m:
             j = self.lv
-            self.left[j + 1] = advance_left(self.left[j], self.wl[j], self.sites[j])
+            self.left[j + 1] = advance(self.left[j], self.wl[j], self.sites[j])
             self.lv += 1
 
     def ensure_right(self, m):
         while self.rv > m:
             j = self.rv - 1
-            self.rhalf[j] = right_halves(self.right(j + 1), self.wr[j], self.sites[j])
+            self.rhalf[j] = site_halves(self.right(j + 1), self.wr[j], self.sites[j])
             self.rv -= 1
 
     def right(self, m):
@@ -170,7 +169,7 @@ class _TTCache:
         if self.rv <= q:
             return self.rhalf[q]
         self.ensure_right(q + 1)
-        return right_halves(self.right(q + 1), self.wr[q], self.sites[q])
+        return site_halves(self.right(q + 1), self.wr[q], self.sites[q])
 
     def _bond_dots(self, p, q):
         """Sum and difference contractions of a bond, dotted with site q.
@@ -184,14 +183,14 @@ class _TTCache:
         self.ensure_left(p)
         b = self.site_right_halves(q)
         wl, sites = self.wl, self.sites
-        h = left_halves(self.left[p], wl[p], sites[p])
+        h = site_halves(self.left[p], wl[p], sites[p])
         if self.lv == p:
             self.left[p + 1] = h[0] + h[1]
             self.lv = p + 1
         self.ensure_left(q)
         diff = h[0] - h[1]
         for m in range(p + 1, q):
-            diff = advance_left(diff, wl[m], sites[m])
+            diff = advance(diff, wl[m], sites[m])
         e = np.empty((2, 2, b.shape[-1]))
         np.einsum("rn,jrn->jn", self.left[q], b, out=e[0])
         np.einsum("rn,jrn->jn", diff, b, out=e[1])
@@ -214,7 +213,7 @@ class _TTCache:
         self.ensure_right(0)
 
     def sigma_x_overlaps(self, m):
-        flipped = advance_left(self.left[m], self.wl[m], self.sites[m][::-1])
+        flipped = advance(self.left[m], self.wl[m], self.sites[m][::-1])
         return np.einsum("rn,rn->n", flipped, self.right(m + 1))
 
     def zz_overlaps(self, p, q):
@@ -485,7 +484,7 @@ def population_control(ensemble, rng):
     n = w.shape[0]
     total = checked_weight_sum(ensemble, "the comb")
     if total <= 0.0:
-        raise DeadEnsembleError("population control with no positive weight")
+        raise DeadEnsembleError("population control with no positive weight", {"step": ensemble.step})
     copies = comb_copy_counts(w * (n / total), float(rng.random()))
     src = np.repeat(np.arange(n), copies)
     # in its default mode np.take buffers ``out``, so it may overwrite its input

@@ -13,11 +13,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import eigsh
 
-from ttqmc import cli, spin_model
+from ttqmc import cli, config, spin_model
 from ttqmc.config import FIELDS, RunConfig, config_from_dict, load_config
 from ttqmc.errors import ConfigError
 from ttqmc.qmc_driver import EnergyTrace
-from ttqmc.spin_model import build_lattice
+from ttqmc.spin_model import PropagatorSet, build_lattice
 from ttqmc.tensor_train import load_tt
 
 from conftest import csr_hamiltonian
@@ -565,6 +565,44 @@ class TestSweeps:
         assert g == 0.0
         assert energy == pytest.approx(-8.0, abs=0.05)
         assert abs(slope) < 1.0
+
+
+
+class TestBuildOnce:
+    """Each run input is built once: the config keeps the lattice and
+    propagators it checked, and a bias sweep solves its reference once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"lattice": 0, "propagators": 0, "reference": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(config, "build_lattice", counting("lattice", config.build_lattice))
+        monkeypatch.setattr(PropagatorSet, "build", staticmethod(counting("propagators", PropagatorSet.build)))
+        monkeypatch.setattr(cli, "exact_ground", counting("reference", cli.exact_ground))
+        return counts
+
+    def test_run_builds_each_input_once(self, tmp_path, calls):
+        cfg_path = write_config(tmp_path, total_steps=10, sketch_stop_step=10, equilibration_steps=5)
+        assert cli.main(["run", "--config", cfg_path, "--out-dir", str(tmp_path / "out")]) == 0
+        assert calls == {"lattice": 1, "propagators": 1, "reference": 1}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["trotter-sweep", "--dtaus", "0.02,0.01,0.04"], ["popsize-sweep", "--walker-counts", "10,20,5"]],
+        ids=["trotter", "popsize"],
+    )
+    def test_bias_sweep_solves_its_reference_once(self, tmp_path, calls, argv):
+        # one build for the loaded config, one for each swept value's replace
+        cfg_path = write_config(tmp_path, total_steps=10, sketch_stop_step=10, equilibration_steps=5)
+        assert cli.main(argv + ["--config", cfg_path, "--out-dir", str(tmp_path / "out")]) == 0
+        assert calls == {"lattice": 4, "propagators": 4, "reference": 1}
 
 
 def _linear_fake_run(a, b):

@@ -176,8 +176,11 @@ class TestMixedEnergy:
         trial = default_trial(3)
         ens = Ensemble.from_trial_product(trial, 3, seed=0)
         ens.weight[:] = 0.0
-        with pytest.raises(DeadEnsembleError):
+        ens.step = 5
+        with pytest.raises(DeadEnsembleError) as err:
             mixed_energy(ens, trial, lat, 1.0)
+        assert err.value.diagnostics["step"] == 5
+        assert "step" in str(err.value)
 
 
     def test_non_finite_weight_named(self):

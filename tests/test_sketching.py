@@ -9,8 +9,8 @@ import pytest
 from ttqmc.errors import DimensionMismatchError, RankZeroError, SketchFitError, TtqmcError
 from ttqmc.sketching import (
     LS_CUTOFF,
-    _advance_left,
     _right_partials,
+    _site_step,
     make_sketch_pair,
     sketch_ensemble,
     validate_target_ranks,
@@ -280,7 +280,7 @@ class TestSweepPartials:
         L = [coeff.reshape(-1, 1)]
         for core, v in zip(pair.left.cores, sites):
             out = np.empty((n, core.shape[2]))
-            L.append(_advance_left(L[-1], core, v, out, np.empty(2 * out.size)))
+            L.append(_site_step(L[-1], core.reshape(len(core), -1), v, out, np.empty(2 * out.size)))
         R, spare = _right_partials(pair.right, sites, np.empty(2 * n * 3))
         assert len(L) == d + 1
         assert sorted(R) == list(range(2, d, 2)) + [d]

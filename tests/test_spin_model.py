@@ -8,7 +8,6 @@ from scipy.sparse.linalg import eigsh
 from ttqmc import spin_model
 from ttqmc.errors import ConfigError, DenseCapError, EigensolverError
 from ttqmc.spin_model import (
-    SIGMA_X,
     PropagatorSet,
     analytic_chain_energy,
     build_lattice,
@@ -19,6 +18,8 @@ from ttqmc.spin_model import (
 )
 
 from conftest import csr_hamiltonian
+
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 def _lattice_pairs(kind, n0, n1):

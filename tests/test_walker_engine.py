@@ -12,11 +12,10 @@ from ttqmc.spin_model import PropagatorSet, build_lattice, hs_lambda
 from ttqmc.tensor_train import (
     ProductState,
     TensorTrain,
-    advance_left,
-    advance_right,
+    advance,
     product_overlaps,
-    right_halves,
     right_transfer,
+    site_halves,
     tt_to_dense,
 )
 from ttqmc.walker_engine import (
@@ -420,8 +419,11 @@ class TestPopulationControl:
         trial = uniform_trial(3)
         ens = Ensemble.from_trial_product(trial, 4, seed=1)
         ens.weight[:] = 0.0
-        with pytest.raises(DeadEnsembleError):
+        ens.step = 5
+        with pytest.raises(DeadEnsembleError) as err:
             population_control(ens, np.random.default_rng(0))
+        assert err.value.diagnostics["step"] == 5
+        assert "step" in str(err.value)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize(
@@ -695,7 +697,7 @@ class TestTTKernel:
                 ens, cache, p, q, factors, rng.random(6), alive, False
             )
             assert cache.lv == p + 1
-            fresh = advance_left(cache.left[p], cache.wl[p], ens.sites[p])
+            fresh = advance(cache.left[p], cache.wl[p], ens.sites[p])
             np.testing.assert_allclose(cache.left[p + 1], fresh, rtol=1e-13, atol=1e-15)
             # the cached partials give the same overlaps as a fresh sweep
             stored = cache.overlaps()
@@ -750,9 +752,10 @@ class TestTTKernel:
                 rebuilt.append(max(cache.rv - m, 0))
             ensure_right(cache, m)
 
-        def counting_halves(*args):
-            halves[0] += in_bond[0]
-            return right_halves(*args)
+        def counting_halves(P, W, v):
+            # only the right-side halves: W is one of the trial's right transfers
+            halves[0] += in_bond[0] and any(W is w for w in ens._cache.wr)
+            return site_halves(P, W, v)
 
         def bond_kernel(*args):
             in_bond[0] = True
@@ -762,7 +765,7 @@ class TestTTKernel:
                 in_bond[0] = False
 
         monkeypatch.setattr(walker_engine._TTCache, "ensure_right", counting)
-        monkeypatch.setattr(walker_engine, "right_halves", counting_halves)
+        monkeypatch.setattr(walker_engine, "site_halves", counting_halves)
         monkeypatch.setattr(walker_engine, "_sample_bond_kernel", bond_kernel)
         for boundary, per_step in (("periodic", 1), ("open", 0)):
             lat = build_lattice("chain", (d,), boundary)
@@ -801,8 +804,8 @@ class TestTTKernel:
             b = site_right_halves(cache, q)
             R = np.ones((1, ens.n_walkers))
             for m in range(d - 1, q, -1):
-                R = advance_right(R, right_transfer(trial.cores[m]), ens.sites[m])
-            assert np.array_equal(b, right_halves(R, right_transfer(trial.cores[q]), ens.sites[q])), q
+                R = advance(R, right_transfer(trial.cores[m]), ens.sites[m])
+            assert np.array_equal(b, site_halves(R, right_transfer(trial.cores[q]), ens.sites[q])), q
             seen.append(q)
             return b
 
